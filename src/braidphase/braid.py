@@ -40,6 +40,7 @@ __all__ = [
     "is_pure",
     "pure_generator",
     "delta",
+    "defining_relations",
     "center_z",
     "center_z_pure_word",
     "equal",
@@ -169,7 +170,7 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         if self.strands < 1:
-            raise ValueError("strand count must be positive")
+            raise RankError(f"strand count must be positive, got {self.strands}")
         reduced = _reduce_braid(self.letters)
         for i, _ in reduced:
             if not 1 <= i <= self.strands - 1:
@@ -252,6 +253,21 @@ def delta(n: int) -> BraidWord:
         raise ValueError("need at least 2 strands")
     letters = [(i, 1) for k in range(1, n) for i in range(k, 0, -1)]
     return BraidWord(n, tuple(letters))
+
+
+def defining_relations(n: int) -> list[tuple[str, str, BraidWord, BraidWord]]:
+    """The defining relations of B_n as (kind, indices, left, right):
+    ``braid-pair`` s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and ``comm-pair``
+    s_i s_j = s_j s_i for j >= i + 2."""
+    out = []
+    for i in range(1, n - 1):
+        left, right = ((i, 1), (i + 1, 1), (i, 1)), ((i + 1, 1), (i, 1), (i + 1, 1))
+        out.append(("braid-pair", f"i={i}", BraidWord(n, left), BraidWord(n, right)))
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            left, right = ((i, 1), (j, 1)), ((j, 1), (i, 1))
+            out.append(("comm-pair", f"i={i},j={j}", BraidWord(n, left), BraidWord(n, right)))
+    return out
 
 
 def center_z(n: int) -> BraidWord:
@@ -379,7 +395,7 @@ class PureWord:
 
     def __post_init__(self) -> None:
         if self.strands < 1:
-            raise ValueError("strand count must be positive")
+            raise RankError(f"strand count must be positive, got {self.strands}")
         stack: list[tuple[tuple[int, int], int]] = []
         for pair, exp in self.letters:
             i, j = int(pair[0]), int(pair[1])

@@ -11,556 +11,47 @@ Subcommands:
 * ``verdict``         evaluate the simplicity / trace / factor criteria
 * ``verify``          run the seeded identity-verification suites
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 rank or
-strand mismatch, 4 missing external cocycle data.
+Exit codes: 0 success, 1 verification failure, 2 parse error (including a
+braid cocycle table that fails validation), 3 rank or strand mismatch
+(including a non-positive strand count and ``verify --max-n`` below 2), 4
+missing external cocycle data.
 
-The ``verify`` report is deterministic: identical seed and flags give
-byte-identical output.  Per-check wall-clock timings are therefore only
-included when ``--timings`` is passed.
+The checks ``verify`` runs live in :mod:`braidphase.verify`; this module
+only parses arguments and formats output.  The ``verify`` report is
+deterministic: identical seed and flags give byte-identical output.
+Per-check wall-clock timings are therefore only included when
+``--timings`` is passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
-from dataclasses import dataclass
-from typing import Callable
 
-from . import braid as br
 from . import cocycle as co
-from .artin import artin_auto, equal_auto, is_inner_for_pure
-from .braid import (
-    BraidWord,
-    center_z,
-    center_z_pure_word,
-    embed,
-    equal,
-    garside_normal_form,
-    is_pure,
-    parse_braid_word,
-    parse_pure_word,
-    permutation_of,
-    random_braid_word,
-    random_equal_pair,
-    random_pure_braid_word,
-    rewrite_pure,
-)
+from .artin import artin_auto
+from .braid import equal, garside_normal_form, is_pure, parse_braid_word, rewrite_pure
 from .cocycle import (
-    SemidirectElement,
-    TwoCocycleSigmaPhi,
     build_braid_cocycle,
-    center_element,
     cocycle_from_json,
     cocycle_to_json,
     evaluate_conditions,
-    extend,
-    mu_phi,
     mu_params,
     omega_from_json,
-    random_braid_cocycle,
     restrict_to_pure,
-    sigma_regular,
     similar_braid_cocycles,
-    validate_braid_cocycle,
 )
 from .errors import MissingOmegaError, ParseError, RankError
-from .freegroup import Character, FreeWord, parse_free_word
-from .phase import Angle, parse_angle
+from .freegroup import parse_free_word
+from .phase import parse_angle
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RANK = 3
 EXIT_MISSING_DATA = 4
-
-
-# ---------------------------------------------------------------------------
-# Verification checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Check:
-    id: str
-    suite: str
-    citation: str
-    run: Callable[[random.Random], str | None]  # returns a counterexample or None
-
-
-def _full_word(n: int) -> FreeWord:
-    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
-
-
-def _check_artin_relations(n: int):
-    def run(rng: random.Random) -> str | None:
-        for i in range(1, n - 1):
-            u = BraidWord(n, ((i, 1), (i + 1, 1), (i, 1)))
-            v = BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1)))
-            if not equal_auto(artin_auto(u), artin_auto(v)):
-                return f"adjacent relation fails at i={i}"
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                u = BraidWord(n, ((i, 1), (j, 1)))
-                v = BraidWord(n, ((j, 1), (i, 1)))
-                if not equal_auto(artin_auto(u), artin_auto(v)):
-                    return f"commuting relation fails at i={i}, j={j}"
-        return None
-
-    return run
-
-
-def _check_braid_center(n: int):
-    def run(rng: random.Random) -> str | None:
-        z = center_z(n)
-        power = BraidWord(n, tuple((i, 1) for _ in range(n) for i in range(1, n)))
-        aword = center_z_pure_word(n).expand()
-        words = [("Delta^2", z), ("(s1..s_{n-1})^n", power), ("a-product", aword)]
-        for idx in range(3):
-            for jdx in range(idx + 1, 3):
-                la, wa = words[idx]
-                lb, wb = words[jdx]
-                if not equal(wa, wb):
-                    return f"action oracle rejects {la} = {lb}"
-                if garside_normal_form(wa) != garside_normal_form(wb):
-                    return f"canonical forms differ for {la} = {lb}"
-        return None
-
-    return run
-
-
-def _check_center_action(n: int):
-    def run(rng: random.Random) -> str | None:
-        auto = artin_auto(center_z(n))
-        full = _full_word(n)
-        for i in range(1, n + 1):
-            expected = FreeWord.generator(n, i).conjugate_by(full)
-            if auto.images[i - 1] != expected:
-                return f"image of x{i} is {auto.images[i - 1]}, expected {expected}"
-        return None
-
-    return run
-
-
-def _check_semidirect_center(n: int):
-    def run(rng: random.Random) -> str | None:
-        g = center_element(n)
-        for i in range(1, n + 1):
-            h = SemidirectElement(FreeWord.generator(n, i), BraidWord.identity(n))
-            if not g.commutes_with(h):
-                return f"central element fails to commute with x{i}"
-        for j in range(1, n):
-            h = SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, j))
-            if not g.commutes_with(h):
-                return f"central element fails to commute with s{j}"
-        return None
-
-    return run
-
-
-def _check_remark_a3(rng: random.Random) -> str | None:
-    t1 = parse_braid_word("s1", 3)
-    t2 = parse_braid_word("s2^2", 3)
-    lhs = (t1 * t2) * (t1 * t2)
-    rhs = (t2 * t1) * (t2 * t1)
-    if not equal(lhs, rhs):
-        return "(t1 t2)^2 != (t2 t1)^2 for t1=s1, t2=s2^2"
-    return None
-
-
-def _check_remark_p3(rng: random.Random) -> str | None:
-    free, central = br.p3_image(center_z_pure_word(3))
-    if not free.is_identity or central != 1:
-        return f"full twist maps to ({free}, u^{central}), expected (e, u)"
-    rewritten = rewrite_pure(parse_braid_word("s1^2", 3))
-    free, central = br.p3_image(rewritten)
-    if free != (FreeWord.generator(2, 1) * FreeWord.generator(2, 2)).inverse() or central != 1:
-        return "s1^2 does not map to (v1 v2)^-1 u"
-    return None
-
-
-def _check_pure_rewrite(n: int, samples: int):
-    def run(rng: random.Random) -> str | None:
-        for _ in range(samples):
-            w = random_pure_braid_word(n, 16, rng)
-            aw = rewrite_pure(w)
-            if not equal(aw.expand(), w):
-                return f"round trip fails for {w}"
-        return None
-
-    return run
-
-
-def _check_oracle_agreement(pairs: int, max_n: int):
-    def run(rng: random.Random) -> str | None:
-        for t in range(pairs):
-            n = rng.randint(2, max_n)
-            if t % 2 == 0:
-                a = random_braid_word(n, rng.randint(0, 30), rng)
-                b = random_braid_word(n, rng.randint(0, 30), rng)
-            else:
-                a, b = random_equal_pair(n, 30, rng)
-            via_action = equal(a, b)
-            via_form = garside_normal_form(a) == garside_normal_form(b)
-            if via_action != via_form:
-                return f"oracles disagree on {a} vs {b} (n={n})"
-        return None
-
-    return run
-
-
-def _check_permutation_homomorphism(n: int):
-    def run(rng: random.Random) -> str | None:
-        for _ in range(40):
-            a = random_braid_word(n, rng.randint(0, 12), rng)
-            b = random_braid_word(n, rng.randint(0, 12), rng)
-            if permutation_of(a * b) != permutation_of(a) * permutation_of(b):
-                return f"permutation map not multiplicative on {a}, {b}"
-        return None
-
-    return run
-
-
-def _check_classification(n: int):
-    def run(rng: random.Random) -> str | None:
-        previous = None
-        for t in range(25):
-            c = random_braid_cocycle(n, rng)
-            report = validate_braid_cocycle(c)
-            if not report.ok:
-                return f"constructor output rejected: {report.relation_violations}"
-            mu1, mu2 = mu_params(c)
-            twin = build_braid_cocycle(
-                n, mu1, mu2 if mu2 is not None else None,
-                diag=[co.random_angle(rng) for _ in range(n - 1)],
-            )
-            witness = similar_braid_cocycles(c, twin)
-            if witness is None:
-                return "cocycles with equal parameters judged dissimilar"
-            if previous is not None and mu_params(previous) != mu_params(c):
-                if similar_braid_cocycles(previous, c) is not None:
-                    return "cocycles with different parameters judged similar"
-            previous = c
-        return None
-
-    return run
-
-
-def _check_z_relation(n: int):
-    def run(rng: random.Random) -> str | None:
-        full = _full_word(n)
-        z = center_z(n)
-        for _ in range(15):
-            c = random_braid_cocycle(n, rng)
-            mu = mu_phi(c)
-            for i in range(1, n + 1):
-                if extend(c, z, FreeWord.generator(n, i)) != mu:
-                    return f"phi(z, x{i}) != mu"
-            for j in range(1, n):
-                if extend(c, BraidWord.generator(n, j), full).scale(n - 1) != mu:
-                    return f"(n-1) phi(s{j}, x1..xn) != mu"
-        return None
-
-    return run
-
-
-def _check_kleppner_probe(n: int):
-    def run(rng: random.Random) -> str | None:
-        tests = [
-            SemidirectElement(FreeWord.generator(n, j), BraidWord.identity(n))
-            for j in range(1, n + 1)
-        ] + [
-            SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, i))
-            for i in range(1, n)
-        ]
-        torsion = build_braid_cocycle(
-            n, Angle.rational(1, 4), Angle.rational(1, 8)
-        )
-        d = mu_phi(torsion).torsion_order()
-        g = center_element(n, d * (n - 1))
-        if not sigma_regular(TwoCocycleSigmaPhi(torsion), g, tests).regular:
-            return "central element not sigma-regular despite torsion total phase"
-        free = build_braid_cocycle(n, Angle.symbol("th1"), Angle.zero())
-        g = center_element(n, n - 1)
-        report = sigma_regular(TwoCocycleSigmaPhi(free), g, tests)
-        if all(not report.discrepancies[j] for j in range(n)):
-            return "no nonzero discrepancy against the free generators"
-        return None
-
-    return run
-
-
-def _check_verdict_logic(rng: random.Random) -> str | None:
-    nontorsion = co.BraidOneCocycle(2, ((Angle.symbol("th1"), Angle.zero()),))
-    if evaluate_conditions("bn", nontorsion).verdict != "SimpleAndUniqueTrace":
-        return "nontorsion rank-2 braid cocycle not accepted"
-    torsion = co.BraidOneCocycle(2, ((Angle.rational(1, 2), Angle.zero()),))
-    if evaluate_conditions("bn", torsion).verdict != "NotFactor":
-        return "torsion rank-2 braid cocycle not rejected"
-    pure = co.build_pure_cocycle(
-        2, {(1, 2): [Angle.symbol("th1"), Angle.zero()]}
-    )
-    if evaluate_conditions("pn", pure).verdict != "SimpleAndUniqueTrace":
-        return "rank-2 pure cocycle with nontorsion nu not accepted"
-    mixed = co.build_pure_cocycle(
-        3,
-        {
-            (1, 2): [Angle.symbol("th1"), Angle.zero(), Angle.zero()],
-            (1, 3): [-Angle.symbol("th1"), Angle.zero(), Angle.zero()],
-        },
-    )
-    verdict = evaluate_conditions("pn", mixed)
-    if verdict.verdict != "Indeterminate" or verdict.details.get("kleppner") != "holds":
-        return "expected Indeterminate with Kleppner holding"
-    return None
-
-
-def _check_sigma_identity(n: int):
-    def run(rng: random.Random) -> str | None:
-        c = random_braid_cocycle(n, rng)
-        sigma = TwoCocycleSigmaPhi(c)
-        e = SemidirectElement.identity(n)
-
-        def element() -> SemidirectElement:
-            free = FreeWord(
-                n,
-                tuple(
-                    (rng.randint(1, n), rng.choice((1, -1)))
-                    for _ in range(rng.randint(0, 4))
-                ),
-            )
-            return SemidirectElement(free, random_braid_word(n, rng.randint(0, 6), rng))
-
-        for _ in range(40):
-            a, b, cc = element(), element(), element()
-            lhs = sigma.evaluate(a, b) + sigma.evaluate(a * b, cc)
-            rhs = sigma.evaluate(a, b * cc) + sigma.evaluate(b, cc)
-            if lhs != rhs:
-                return f"cocycle identity fails on {a}, {b}, {cc}"
-            if sigma.evaluate(a, e) or sigma.evaluate(e, a):
-                return "sigma is not normalized"
-        return None
-
-    return run
-
-
-def _check_coboundary(n: int):
-    def run(rng: random.Random) -> str | None:
-        zero = build_braid_cocycle(n, Angle.zero(), Angle.zero())
-        for _ in range(15):
-            f = Character(n, tuple(co.random_angle(rng) for _ in range(n)))
-            h = co.coboundary_of_character(f)
-            mu1, mu2 = mu_params(h)
-            if mu1 or (mu2 is not None and mu2):
-                return "coboundary has nonzero parameters"
-            witness = similar_braid_cocycles(h, zero)
-            if witness is None:
-                return "coboundary not recognized as similar to zero"
-        return None
-
-    return run
-
-
-def _check_center_embedding(m: int, n: int):
-    def run(rng: random.Random) -> str | None:
-        zm = embed(center_z(m), n)
-        for k in range(-3, 4):
-            if equal(zm, center_z(n) ** k):
-                return f"embedded center equals z^{k}"
-        for i in range(1, m):
-            s = BraidWord.generator(n, i)
-            if not equal(zm * s, s * zm):
-                return f"embedded center fails to commute with s{i}"
-        s = BraidWord.generator(n, m)
-        if equal(zm * s, s * zm):
-            return f"embedded center unexpectedly commutes with s{m}"
-        return None
-
-    return run
-
-
-def _build_checks(max_n: int) -> list[Check]:
-    checks: list[Check] = []
-    for n in range(2, min(6, max_n) + 1):
-        checks.append(
-            Check(
-                f"artin-relations.n{n}",
-                "braid",
-                "the defining braid relations hold under the free-group action",
-                _check_artin_relations(n),
-            )
-        )
-    for n in range(3, min(6, max_n) + 1):
-        checks.append(
-            Check(
-                f"braid-center.n{n}",
-                "braid",
-                "Delta^2 = (s1...s_{n-1})^n = a12 (a13 a23) ... , by both oracles",
-                _check_braid_center(n),
-            )
-        )
-    for n in range(2, min(6, max_n) + 1):
-        checks.append(
-            Check(
-                f"center-action.n{n}",
-                "braid",
-                "the full twist acts as conjugation by x1...xn",
-                _check_center_action(n),
-            )
-        )
-        checks.append(
-            Check(
-                f"semidirect-center.n{n}",
-                "braid",
-                "x1...xn z is central in the semidirect product",
-                _check_semidirect_center(n),
-            )
-        )
-    checks.append(
-        Check(
-            "remark-a3",
-            "braid",
-            "(t1 t2)^2 = (t2 t1)^2 for t1 = s1, t2 = s2^2 in B_3",
-            _check_remark_a3,
-        )
-    )
-    checks.append(
-        Check(
-            "remark-p3",
-            "braid",
-            "the splitting P_3 = F_2 x Z sends the full twist to the central generator",
-            _check_remark_p3,
-        )
-    )
-    for n in range(2, min(4, max_n) + 1):
-        checks.append(
-            Check(
-                f"pure-rewrite.n{n}",
-                "braid",
-                "a-alphabet rewriting of pure words round-trips to equal braids",
-                _check_pure_rewrite(n, 20),
-            )
-        )
-    checks.append(
-        Check(
-            "oracle-agreement",
-            "braid",
-            "the action oracle and the canonical-form oracle decide equality identically",
-            _check_oracle_agreement(500, min(5, max_n)),
-        )
-    )
-    for n in range(2, min(6, max_n) + 1):
-        checks.append(
-            Check(
-                f"permutation-homomorphism.n{n}",
-                "braid",
-                "the strand permutation map is multiplicative",
-                _check_permutation_homomorphism(n),
-            )
-        )
-    for n in range(2, min(5, max_n) + 1):
-        checks.append(
-            Check(
-                f"cocycle-classification.n{n}",
-                "cocycle",
-                "tables are valid and classified by (mu1, mu2) up to coboundary",
-                _check_classification(n),
-            )
-        )
-    for n in range(3, min(5, max_n) + 1):
-        checks.append(
-            Check(
-                f"z-relation.n{n}",
-                "cocycle",
-                "phi(z, x_i) = mu = (n-1) phi(s_j, x1...xn)",
-                _check_z_relation(n),
-            )
-        )
-    for n in range(3, min(4, max_n) + 1):
-        checks.append(
-            Check(
-                f"kleppner-probe.n{n}",
-                "cocycle",
-                "central powers are sigma-regular exactly when the total phase is torsion",
-                _check_kleppner_probe(n),
-            )
-        )
-    checks.append(
-        Check(
-            "verdict-logic",
-            "cocycle",
-            "verdicts follow the deformation criteria, including the open middle case",
-            _check_verdict_logic,
-        )
-    )
-    for n in range(2, min(4, max_n) + 1):
-        checks.append(
-            Check(
-                f"sigma-identity.n{n}",
-                "cocycle",
-                "sigma^phi is a normalized 2-cocycle on the semidirect product",
-                _check_sigma_identity(n),
-            )
-        )
-    for n in range(2, min(5, max_n) + 1):
-        checks.append(
-            Check(
-                f"coboundary.n{n}",
-                "cocycle",
-                "coboundaries are exactly the tables with vanishing parameters",
-                _check_coboundary(n),
-            )
-        )
-    for m in range(3, min(6, max_n) + 1):
-        for n in range(m + 1, min(6, max_n) + 1):
-            checks.append(
-                Check(
-                    f"center-embedding.m{m}.n{n}",
-                    "infinite",
-                    "no nontrivial central element survives the strand-adding embedding",
-                    _check_center_embedding(m, n),
-                )
-            )
-    return checks
-
-
-def run_verify(suite: str, seed: int, max_n: int, timings: bool) -> tuple[dict, int]:
-    selected = [
-        c for c in _build_checks(max_n) if suite == "all" or c.suite == suite
-    ]
-    selected.sort(key=lambda c: c.id)
-    records = []
-    failed = 0
-    for check in selected:
-        rng = random.Random(f"{seed}:{check.id}")
-        start = time.perf_counter()
-        counterexample = check.run(rng)
-        elapsed_ms = int((time.perf_counter() - start) * 1000)
-        record = {
-            "id": check.id,
-            "suite": check.suite,
-            "citation": check.citation,
-            "status": "pass" if counterexample is None else "fail",
-            "counterexample": counterexample,
-        }
-        if timings:
-            record["elapsed_ms"] = elapsed_ms
-        if counterexample is not None:
-            failed += 1
-        records.append(record)
-    report = {
-        "suite": suite,
-        "seed": seed,
-        "max_n": max_n,
-        "checks": records,
-        "summary": {
-            "total": len(records),
-            "passed": len(records) - failed,
-            "failed": failed,
-        },
-    }
-    return report, EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +155,9 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report, code = run_verify(args.suite, args.seed, args.max_n, args.timings)
+    report = run_verify(args.suite, args.seed, args.max_n, args.timings)
     print(json.dumps(report, indent=2))
-    return code
+    return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RankError as exc:
@@ -746,12 +237,6 @@ def main(argv: list[str] | None = None) -> int:
     except MissingOmegaError as exc:
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":  # pragma: no cover

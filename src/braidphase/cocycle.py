@@ -36,6 +36,7 @@ from .braid import (
     PureWord,
     center_z,
     center_z_pure_word,
+    defining_relations,
     equal as braid_equal,
     pure_generator,
 )
@@ -65,7 +66,6 @@ __all__ = [
     "nu",
     "extend_pure",
     "restrict_to_pure",
-    "sigma_eval",
     "sigma_regular",
     "validate_omega",
     "center_element",
@@ -110,7 +110,7 @@ class BraidOneCocycle:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("need at least 2 strands")
+            raise RankError(f"a cocycle table needs at least 2 strands, got {self.n}")
         if len(self.table) != self.n - 1 or any(len(r) != self.n for r in self.table):
             raise ValueError(f"table must be {self.n - 1} x {self.n}")
 
@@ -127,12 +127,14 @@ def build_braid_cocycle(
 ) -> BraidOneCocycle:
     """The cocycle with phi(s_i,x_i)=diag[i], phi(s_i,x_{i+1})=mu1-diag[i],
     and every off-band entry equal to mu2 (ignored when n = 2)."""
+    if n < 2:
+        raise RankError(f"a braid cocycle needs at least 2 strands, got {n}")
     if mu2 is None:
         mu2 = Angle.zero()
     if diag is None:
         diag = [Angle.zero()] * (n - 1)
     if len(diag) != n - 1:
-        raise ValueError(f"need {n - 1} diagonal values")
+        raise RankError(f"need {n - 1} diagonal values for {n} strands, got {len(diag)}")
     rows = []
     for i in range(1, n):
         row = [mu2] * n
@@ -176,21 +178,11 @@ def validate_braid_cocycle(c: BraidOneCocycle) -> CocycleValidation:
                     if c.entry(i, cols[a]) != c.entry(i, cols[b]):
                         rel.append(f"rel4[i={i},k={cols[a]},l={cols[b]}]")
     ext: list[str] = []
-    for i in range(1, n - 1):
-        u = BraidWord(n, ((i, 1), (i + 1, 1), (i, 1)))
-        v = BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1)))
+    for kind, where, u, v in defining_relations(n):
         for k in range(1, n + 1):
             xk = FreeWord.generator(n, k)
             if extend(c, u, xk) != extend(c, v, xk):
-                ext.append(f"braid-pair[i={i},k={k}]")
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            u = BraidWord(n, ((i, 1), (j, 1)))
-            v = BraidWord(n, ((j, 1), (i, 1)))
-            for k in range(1, n + 1):
-                xk = FreeWord.generator(n, k)
-                if extend(c, u, xk) != extend(c, v, xk):
-                    ext.append(f"comm-pair[i={i},j={j},k={k}]")
+                ext.append(f"{kind}[{where},k={k}]")
     return CocycleValidation(not rel and not ext, tuple(rel), tuple(ext))
 
 
@@ -275,7 +267,7 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
             else:
                 expected = Angle.zero()
             if diff != expected:
-                raise AssertionError(
+                raise ValueError(
                     "matching parameters but witness equation fails; "
                     "are both tables valid cocycles?"
                 )
@@ -304,7 +296,7 @@ class PureOneCocycle:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("need at least 2 strands")
+            raise RankError(f"a cocycle table needs at least 2 strands, got {self.n}")
         expected = len(_pairs(self.n))
         if len(self.rows) != expected or any(len(r) != self.n for r in self.rows):
             raise ValueError(f"table must be {expected} x {self.n}")
@@ -464,12 +456,6 @@ class TwoCocycleSigmaPhi:
         from .braid import rewrite_pure
 
         return extend_pure(self.cocycle, rewrite_pure(g1.braid), g2.free)
-
-
-def sigma_eval(
-    sigma: TwoCocycleSigmaPhi, g1: SemidirectElement, g2: SemidirectElement
-) -> Angle:
-    return sigma.evaluate(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -731,7 +717,7 @@ def evaluate_conditions(kind: str, data, omega: OmegaOracle | None = None) -> Ve
         return evaluate_pure_conditions(data)
     if kind == "an":
         return evaluate_annular_conditions(data)
-    if kind in ("mackey", "mackey_pn1"):
+    if kind == "mackey":
         if omega is None:
             raise MissingOmegaError("the mackey family needs omega values")
         return evaluate_mackey_conditions(data, omega)
@@ -857,7 +843,8 @@ def _parse_generator_label(label: str) -> tuple[str, tuple[int, ...]]:
 
 
 def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
-    """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels."""
+    """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels.
+    A braid table must pass :func:`validate_braid_cocycle`."""
     try:
         n = int(doc["n"])
         raw_entries = list(doc["entries"])
@@ -866,7 +853,7 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
     braid_rows: dict[int, dict[int, Angle]] = {}
     pure_rows: dict[tuple[int, int], dict[int, Angle]] = {}
     for item in raw_entries:
-        if len(item) != 3:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ParseError(f"bad entry {item!r}")
         kind, index = _parse_generator_label(str(item[0]))
         xlabel = str(item[1]).strip()
@@ -893,7 +880,12 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
         for i in range(1, n):
             row = braid_rows.get(i, {})
             rows.append(tuple(row.get(k, Angle.zero()) for k in range(1, n + 1)))
-        return BraidOneCocycle(n, tuple(rows))
+        table = BraidOneCocycle(n, tuple(rows))
+        report = validate_braid_cocycle(table)
+        if not report.ok:
+            failed = report.relation_violations + report.extension_violations
+            raise ParseError(f"braid table is not a cocycle: {', '.join(failed)}")
+        return table
     rows = []
     for pair in _pairs(n):
         row = pure_rows.get(pair, {})
@@ -903,9 +895,11 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
 
 def omega_from_json(doc: Mapping, n: int) -> TabulatedOmega:
     """Read tabulated omega values [["a(i,j)"|"z", same, angle], ...]."""
+    if not isinstance(doc, (list, tuple)):
+        raise ParseError(f"omega must be a list of entries, got {doc!r}")
     values: dict[tuple[str, str], Angle] = {}
     for item in doc:
-        if len(item) != 3:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ParseError(f"bad omega entry {item!r}")
         left, right = str(item[0]).strip(), str(item[1]).strip()
         for label in (left, right):

@@ -51,7 +51,7 @@ class FreeWord:
 
     def __post_init__(self) -> None:
         if self.rank < 1:
-            raise ValueError("rank must be positive")
+            raise RankError(f"rank must be positive, got {self.rank}")
         reduced = _reduce(self.letters)
         for idx, _ in reduced:
             if not 1 <= idx <= self.rank:

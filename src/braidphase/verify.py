@@ -1,0 +1,471 @@
+"""Seeded verification checks for the identities the library relies on.
+
+A check is a function ``check(rng, **params)`` that returns a counterexample
+string, or None when the identity holds on every input it tried.  Checks
+without random inputs take ``rng=None`` and ignore it.  :data:`REGISTRY`
+lists every check once, with the parameters ``braidphase verify`` runs it
+at; the acceptance suite calls the same functions with its own seeds and
+sizes.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import random
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+from .artin import artin_auto, equal_auto
+from .braid import (
+    BraidWord,
+    center_z,
+    center_z_pure_word,
+    defining_relations,
+    embed,
+    equal,
+    garside_normal_form,
+    is_pure,
+    p3_image,
+    parse_braid_word,
+    permutation_of,
+    random_braid_word,
+    random_equal_pair,
+    random_pure_braid_word,
+    rewrite_pure,
+)
+from .cocycle import (
+    BraidOneCocycle,
+    SemidirectElement,
+    TwoCocycleSigmaPhi,
+    build_braid_cocycle,
+    build_pure_cocycle,
+    center_element,
+    coboundary_of_character,
+    evaluate_conditions,
+    extend,
+    mu_params,
+    mu_phi,
+    random_angle,
+    random_braid_cocycle,
+    sigma_regular,
+    similar_braid_cocycles,
+    validate_braid_cocycle,
+)
+from .errors import RankError
+from .freegroup import Character, FreeWord
+from .phase import Angle
+
+__all__ = ["Check", "REGISTRY", "build_checks", "run_verify"]
+
+
+def _full_word(n: int) -> FreeWord:
+    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
+
+
+def _generators(n: int) -> list[SemidirectElement]:
+    """x1..xn, then s1..s_{n-1}, as elements of the semidirect product."""
+    return [
+        SemidirectElement(FreeWord.generator(n, j), BraidWord.identity(n))
+        for j in range(1, n + 1)
+    ] + [
+        SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, i))
+        for i in range(1, n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Suite braid
+# ---------------------------------------------------------------------------
+
+def artin_relations(rng: random.Random | None = None, *, n: int) -> str | None:
+    for kind, where, u, v in defining_relations(n):
+        if not equal_auto(artin_auto(u), artin_auto(v)):
+            return f"{kind}[{where}] fails under the action"
+    return None
+
+
+def braid_center(rng: random.Random | None = None, *, n: int) -> str | None:
+    z = center_z(n)
+    power = BraidWord(n, tuple((i, 1) for _ in range(n) for i in range(1, n)))
+    aword = center_z_pure_word(n).expand()
+    words = [("Delta^2", z), ("(s1..s_{n-1})^n", power), ("a-product", aword)]
+    for (la, wa), (lb, wb) in itertools.combinations(words, 2):
+        if not equal(wa, wb):
+            return f"action oracle rejects {la} = {lb}"
+        if garside_normal_form(wa) != garside_normal_form(wb):
+            return f"canonical forms differ for {la} = {lb}"
+    return None
+
+
+def center_action(rng: random.Random | None = None, *, n: int) -> str | None:
+    auto = artin_auto(center_z(n))
+    full = _full_word(n)
+    for i in range(1, n + 1):
+        expected = FreeWord.generator(n, i).conjugate_by(full)
+        if auto.images[i - 1] != expected:
+            return f"image of x{i} is {auto.images[i - 1]}, expected {expected}"
+    return None
+
+
+def semidirect_center(rng: random.Random | None = None, *, n: int) -> str | None:
+    g = center_element(n)
+    for h in _generators(n):
+        if not g.commutes_with(h):
+            return f"central element fails to commute with {h}"
+    return None
+
+
+def remark_a3(rng: random.Random | None = None) -> str | None:
+    t1 = parse_braid_word("s1", 3)
+    t2 = parse_braid_word("s2^2", 3)
+    if not equal((t1 * t2) * (t1 * t2), (t2 * t1) * (t2 * t1)):
+        return "(t1 t2)^2 != (t2 t1)^2 for t1=s1, t2=s2^2"
+    return None
+
+
+def remark_p3(rng: random.Random | None = None) -> str | None:
+    free, central = p3_image(center_z_pure_word(3))
+    if not free.is_identity or central != 1:
+        return f"full twist maps to ({free}, u^{central}), expected (e, u)"
+    free, central = p3_image(rewrite_pure(parse_braid_word("s1^2", 3)))
+    if free != (FreeWord.generator(2, 1) * FreeWord.generator(2, 2)).inverse() or central != 1:
+        return "s1^2 does not map to (v1 v2)^-1 u"
+    return None
+
+
+def pure_rewrite(rng: random.Random, *, n: int, samples: int) -> str | None:
+    """Round trips on ``samples`` pure words of length 16 on ``n`` strands."""
+    for _ in range(samples):
+        w = random_pure_braid_word(n, 16, rng)
+        if not is_pure(w):
+            return f"generated word {w} is not pure"
+        if not equal(rewrite_pure(w).expand(), w):
+            return f"round trip fails for {w}"
+    return None
+
+
+def oracle_agreement(rng: random.Random, *, max_n: int) -> str | None:
+    """Both oracles on 500 pairs, half random and half equal by
+    construction; each answer must come up in at least a fifth of them."""
+    pairs = 500
+    seen = {True: 0, False: 0}
+    for t in range(pairs):
+        n = rng.randint(2, max_n)
+        if t % 2 == 0:
+            a = random_braid_word(n, rng.randint(0, 30), rng)
+            b = random_braid_word(n, rng.randint(0, 30), rng)
+        else:
+            a, b = random_equal_pair(n, 30, rng)
+        via_action = equal(a, b)
+        if via_action != (garside_normal_form(a) == garside_normal_form(b)):
+            return f"oracles disagree on {a} vs {b} (n={n})"
+        seen[via_action] += 1
+    if min(seen.values()) < pairs // 5:
+        return f"sample too one-sided: {seen[True]} equal, {seen[False]} unequal pairs"
+    return None
+
+
+def permutation_homomorphism(rng: random.Random, *, n: int) -> str | None:
+    for _ in range(40):
+        a = random_braid_word(n, rng.randint(0, 12), rng)
+        b = random_braid_word(n, rng.randint(0, 12), rng)
+        if permutation_of(a * b) != permutation_of(a) * permutation_of(b):
+            return f"permutation map not multiplicative on {a}, {b}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Suite cocycle
+# ---------------------------------------------------------------------------
+
+def classification(rng: random.Random, *, n: int, samples: int) -> str | None:
+    """Random valid tables against a twin with the same (mu1, mu2) (even
+    samples, witness checked entry by entry), against a table with one
+    parameter bumped (odd samples) and against the previous table."""
+    previous = None
+    for t in range(samples):
+        c = random_braid_cocycle(n, rng)
+        report = validate_braid_cocycle(c)
+        if not report.ok:
+            return f"constructor output rejected: {report.relation_violations}"
+        mu1, mu2 = mu_params(c)
+        if t % 2 == 0:
+            twin = build_braid_cocycle(
+                n, mu1, mu2, diag=[random_angle(rng) for _ in range(n - 1)]
+            )
+            witness = similar_braid_cocycles(c, twin)
+            if witness is None:
+                return "cocycles with equal parameters judged dissimilar"
+            f = witness.values
+            for i in range(1, n):
+                for j in range(1, n + 1):
+                    diff = c.entry(i, j) - twin.entry(i, j)
+                    if j == i:
+                        expected = f[i] - f[i - 1]
+                    elif j == i + 1:
+                        expected = f[i - 1] - f[i]
+                    else:
+                        expected = Angle.zero()
+                    if diff != expected:
+                        return f"witness equation fails at s{i}, x{j}"
+        else:
+            bump = Angle.symbol("marker")
+            if n >= 3 and t % 4 == 1:
+                other = build_braid_cocycle(n, mu1, mu2 + bump)
+            else:
+                other = build_braid_cocycle(n, mu1 + bump, mu2)
+            if similar_braid_cocycles(c, other) is not None:
+                return "cocycles with different parameters judged similar"
+        if previous is not None and mu_params(previous) != mu_params(c):
+            if similar_braid_cocycles(previous, c) is not None:
+                return "cocycles with different parameters judged similar"
+        previous = c
+    return None
+
+
+def z_relation(rng: random.Random, *, n: int, samples: int) -> str | None:
+    full = _full_word(n)
+    z = center_z(n)
+    for _ in range(samples):
+        c = random_braid_cocycle(n, rng)
+        mu = mu_phi(c)
+        for i in range(1, n + 1):
+            if extend(c, z, FreeWord.generator(n, i)) != mu:
+                return f"phi(z, x{i}) != mu"
+        for j in range(1, n):
+            if extend(c, BraidWord.generator(n, j), full).scale(n - 1) != mu:
+                return f"(n-1) phi(s{j}, x1..xn) != mu"
+    return None
+
+
+def kleppner_probe(rng: random.Random | None = None, *, n: int) -> str | None:
+    tests = _generators(n)
+    torsion = build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 8))
+    d = mu_phi(torsion).torsion_order()
+    if d is None:
+        return "total phase of a rational table is not torsion"
+    g = center_element(n, d * (n - 1))
+    if not sigma_regular(TwoCocycleSigmaPhi(torsion), g, tests).regular:
+        return "central element not sigma-regular despite torsion total phase"
+    free = build_braid_cocycle(n, Angle.symbol("th1"), Angle.zero())
+    g = center_element(n, n - 1)
+    report = sigma_regular(TwoCocycleSigmaPhi(free), g, tests)
+    if all(not report.discrepancies[j] for j in range(n)):
+        return "no nonzero discrepancy against the free generators"
+    if report.regular:
+        return "central element sigma-regular despite nontorsion total phase"
+    return None
+
+
+def verdict_logic(rng: random.Random | None = None) -> str | None:
+    th1, zero, half = Angle.symbol("th1"), Angle.zero(), Angle.rational(1, 2)
+    mixed = {(1, 2): [th1, zero, zero], (1, 3): [-th1, zero, zero]}
+    # (label, family, table, verdict, exact details)
+    cases = [
+        ("nontorsion rank-2 braid table", "bn", BraidOneCocycle(2, ((th1, zero),)),
+         "SimpleAndUniqueTrace", {}),
+        ("torsion rank-2 braid table", "bn", BraidOneCocycle(2, ((half, zero),)),
+         "NotFactor", {}),
+        ("rank-2 pure table with nontorsion nu", "pn",
+         build_pure_cocycle(2, {(1, 2): [th1, zero]}), "SimpleAndUniqueTrace", {}),
+        ("rank-2 pure table with torsion nu", "pn",
+         build_pure_cocycle(2, {(1, 2): [Angle.rational(1, 3), zero]}), "NotFactor", {}),
+        # every nu_k torsion, one row sum nontorsion: Kleppner holds, the
+        # relative variant fails, and the verdict must stay Indeterminate;
+        # the condition (i) vs (iv) angles are computed exactly
+        ("rank-3 open middle case", "pn", build_pure_cocycle(3, mixed), "Indeterminate",
+         {"kleppner": "holds", "nu1": "0",
+          "phi(a(1,2),x1..x3)": "th1", "phi(a(1,3),x1..x3)": "-th1"}),
+        ("rank-3 pure table with torsion row sums", "pn",
+         build_pure_cocycle(3, {(1, 2): [half] * 3}), "NotFactor", {"kleppner": "fails"}),
+    ]
+    for label, family, table, expected, details in cases:
+        verdict = evaluate_conditions(family, table)
+        if verdict.verdict != expected:
+            return f"{label}: verdict {verdict.verdict}, expected {expected}"
+        for key, value in details.items():
+            if verdict.details.get(key) != value:
+                return f"{label}: {key} is {verdict.details.get(key)}, expected {value}"
+    return None
+
+
+def sigma_identity(rng: random.Random, *, n: int) -> str | None:
+    sigma = TwoCocycleSigmaPhi(random_braid_cocycle(n, rng))
+    e = SemidirectElement.identity(n)
+
+    def element() -> SemidirectElement:
+        free = FreeWord(
+            n,
+            tuple(
+                (rng.randint(1, n), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 4))
+            ),
+        )
+        return SemidirectElement(free, random_braid_word(n, rng.randint(0, 6), rng))
+
+    for _ in range(40):
+        a, b, c = element(), element(), element()
+        lhs = sigma.evaluate(a, b) + sigma.evaluate(a * b, c)
+        rhs = sigma.evaluate(a, b * c) + sigma.evaluate(b, c)
+        if lhs != rhs:
+            return f"cocycle identity fails on {a}, {b}, {c}"
+        if sigma.evaluate(a, e) or sigma.evaluate(e, a):
+            return "sigma is not normalized"
+    return None
+
+
+def coboundary(rng: random.Random, *, n: int) -> str | None:
+    zero = build_braid_cocycle(n, Angle.zero(), Angle.zero())
+    for _ in range(15):
+        h = coboundary_of_character(Character(n, tuple(random_angle(rng) for _ in range(n))))
+        mu1, mu2 = mu_params(h)
+        if mu1 or (mu2 is not None and mu2):
+            return "coboundary has nonzero parameters"
+        if similar_braid_cocycles(h, zero) is None:
+            return "coboundary not recognized as similar to zero"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Suite infinite
+# ---------------------------------------------------------------------------
+
+def center_embedding(rng: random.Random | None = None, *, m: int, n: int) -> str | None:
+    zm = embed(center_z(m), n)
+    for k in range(-3, 4):
+        if equal(zm, center_z(n) ** k):
+            return f"embedded center equals z^{k}"
+    for i in range(1, m):
+        s = BraidWord.generator(n, i)
+        if not equal(zm * s, s * zm):
+            return f"embedded center fails to commute with s{i}"
+    s = BraidWord.generator(n, m)
+    if equal(zm * s, s * zm):
+        return f"embedded center unexpectedly commutes with s{m}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Registry and runner
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    id: str
+    suite: str
+    citation: str
+    run: Callable[[random.Random], str | None]  # returns a counterexample or None
+
+
+def _sizes(low: int, high: int, **fixed):
+    """Parameters n = low..min(high, max_n), each with the ``fixed`` ones."""
+    return lambda max_n: [dict(n=n, **fixed) for n in range(low, min(high, max_n) + 1)]
+
+
+def _once(max_n: int) -> list[dict]:
+    return [{}]
+
+
+def _embeddings(max_n: int) -> list[dict]:
+    top = min(6, max_n)
+    return [dict(m=m, n=n) for m in range(3, top + 1) for n in range(m + 1, top + 1)]
+
+
+# (id pattern, suite, citation, check, parameters for a given max_n)
+REGISTRY = (
+    ("artin-relations.n{n}", "braid",
+     "the defining braid relations hold under the free-group action",
+     artin_relations, _sizes(2, 6)),
+    ("braid-center.n{n}", "braid",
+     "Delta^2 = (s1...s_{n-1})^n = a12 (a13 a23) ... , by both oracles",
+     braid_center, _sizes(3, 6)),
+    ("center-action.n{n}", "braid",
+     "the full twist acts as conjugation by x1...xn",
+     center_action, _sizes(2, 6)),
+    ("semidirect-center.n{n}", "braid",
+     "x1...xn z is central in the semidirect product",
+     semidirect_center, _sizes(2, 6)),
+    ("remark-a3", "braid",
+     "(t1 t2)^2 = (t2 t1)^2 for t1 = s1, t2 = s2^2 in B_3",
+     remark_a3, _once),
+    ("remark-p3", "braid",
+     "the splitting P_3 = F_2 x Z sends the full twist to the central generator",
+     remark_p3, _once),
+    ("pure-rewrite.n{n}", "braid",
+     "a-alphabet rewriting of pure words round-trips to equal braids",
+     pure_rewrite, _sizes(2, 4, samples=20)),
+    ("oracle-agreement", "braid",
+     "the action oracle and the canonical-form oracle decide equality identically",
+     oracle_agreement, lambda max_n: [dict(max_n=min(5, max_n))]),
+    ("permutation-homomorphism.n{n}", "braid",
+     "the strand permutation map is multiplicative",
+     permutation_homomorphism, _sizes(2, 6)),
+    ("cocycle-classification.n{n}", "cocycle",
+     "tables are valid and classified by (mu1, mu2) up to coboundary",
+     classification, _sizes(2, 5, samples=25)),
+    ("z-relation.n{n}", "cocycle",
+     "phi(z, x_i) = mu = (n-1) phi(s_j, x1...xn)",
+     z_relation, _sizes(3, 5, samples=15)),
+    ("kleppner-probe.n{n}", "cocycle",
+     "central powers are sigma-regular exactly when the total phase is torsion",
+     kleppner_probe, _sizes(3, 4)),
+    ("verdict-logic", "cocycle",
+     "verdicts follow the deformation criteria, including the open middle case",
+     verdict_logic, _once),
+    ("sigma-identity.n{n}", "cocycle",
+     "sigma^phi is a normalized 2-cocycle on the semidirect product",
+     sigma_identity, _sizes(2, 4)),
+    ("coboundary.n{n}", "cocycle",
+     "coboundaries are exactly the tables with vanishing parameters",
+     coboundary, _sizes(2, 5)),
+    ("center-embedding.m{m}.n{n}", "infinite",
+     "no nontrivial central element survives the strand-adding embedding",
+     center_embedding, _embeddings),
+)
+
+
+def build_checks(max_n: int) -> list[Check]:
+    """Every registry check at its parameters for strand counts up to max_n."""
+    if max_n < 2:
+        raise RankError(f"verify needs max_n >= 2, got {max_n}")
+    return [
+        Check(pattern.format(**params), suite, citation, functools.partial(check, **params))
+        for pattern, suite, citation, check, parameters in REGISTRY
+        for params in parameters(max_n)
+    ]
+
+
+def run_verify(suite: str, seed: int, max_n: int, timings: bool) -> dict:
+    """Run the checks of ``suite`` ("all" for every suite), sorted by id,
+    each from ``random.Random(f"{seed}:{id}")``; returns the JSON report."""
+    selected = [c for c in build_checks(max_n) if suite == "all" or c.suite == suite]
+    selected.sort(key=lambda c: c.id)
+    records = []
+    for check in selected:
+        start = time.perf_counter()
+        counterexample = check.run(random.Random(f"{seed}:{check.id}"))
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        record = {
+            "id": check.id,
+            "suite": check.suite,
+            "citation": check.citation,
+            "status": "pass" if counterexample is None else "fail",
+            "counterexample": counterexample,
+        }
+        if timings:
+            record["elapsed_ms"] = elapsed_ms
+        records.append(record)
+    failed = sum(record["status"] == "fail" for record in records)
+    return {
+        "suite": suite,
+        "seed": seed,
+        "max_n": max_n,
+        "checks": records,
+        "summary": {
+            "total": len(records),
+            "passed": len(records) - failed,
+            "failed": failed,
+        },
+    }

@@ -1,49 +1,17 @@
 """Acceptance suite: one test per criterion, exact checks, pinned budgets.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.  Every assertion is exact (no tolerances); each criterion also
-pins its wall-clock budget.
+per criterion.  Each criterion runs checks from :mod:`braidphase.verify`, the
+registry behind ``braidphase verify``, at its own seeds and sizes.  Every
+assertion is exact (no tolerances); each criterion also pins its wall-clock
+budget.
 """
 
 import functools
 import random
 import time
 
-from braidphase.artin import artin_auto, equal_auto
-from braidphase.braid import (
-    BraidWord,
-    center_z,
-    center_z_pure_word,
-    embed,
-    equal,
-    garside_normal_form,
-    is_pure,
-    p3_image,
-    parse_braid_word,
-    random_braid_word,
-    random_equal_pair,
-    random_pure_braid_word,
-    rewrite_pure,
-)
-from braidphase.cocycle import (
-    BraidOneCocycle,
-    SemidirectElement,
-    TwoCocycleSigmaPhi,
-    build_braid_cocycle,
-    build_pure_cocycle,
-    center_element,
-    evaluate_conditions,
-    extend,
-    mu_params,
-    mu_phi,
-    random_angle,
-    random_braid_cocycle,
-    sigma_regular,
-    similar_braid_cocycles,
-    validate_braid_cocycle,
-)
-from braidphase.freegroup import FreeWord
-from braidphase.phase import Angle, parse_angle
+from braidphase import verify
 
 
 def criterion(cid: str, description: str, budget_s: float):
@@ -65,208 +33,71 @@ def criterion(cid: str, description: str, budget_s: float):
     return decorate
 
 
-def full_word(n: int) -> FreeWord:
-    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
-
-
 @criterion("1", "defining relations respected by the free-group action, n=2..6", 1.0)
 def test_criterion_01_artin_relations():
     for n in range(2, 7):
-        for i in range(1, n - 1):
-            u = BraidWord(n, ((i, 1), (i + 1, 1), (i, 1)))
-            v = BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1)))
-            assert equal_auto(artin_auto(u), artin_auto(v))
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                u = BraidWord(n, ((i, 1), (j, 1)))
-                v = BraidWord(n, ((j, 1), (i, 1)))
-                assert equal_auto(artin_auto(u), artin_auto(v))
+        assert (cx := verify.artin_relations(n=n)) is None, cx
 
 
 @criterion("2", "Delta^2 = (s1..s_{n-1})^n = product of all a(i,j), both oracles, n=3..6", 5.0)
 def test_criterion_02_braid_center():
     for n in range(3, 7):
-        z = center_z(n)
-        power = BraidWord(n, tuple((i, 1) for _ in range(n) for i in range(1, n)))
-        aprod = center_z_pure_word(n).expand()
-        words = (z, power, aprod)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                assert equal(words[a], words[b])
-                assert garside_normal_form(words[a]) == garside_normal_form(words[b])
+        assert (cx := verify.braid_center(n=n)) is None, cx
 
 
 @criterion("3", "full twist acts by conjugation; x1..xn z is central, n=2..6", 5.0)
 def test_criterion_03_center_action_and_semidirect_center():
     for n in range(2, 7):
-        auto = artin_auto(center_z(n))
-        prod = full_word(n)
-        for i in range(1, n + 1):
-            assert auto.images[i - 1] == FreeWord.generator(n, i).conjugate_by(prod)
-        g = center_element(n)
-        for i in range(1, n + 1):
-            h = SemidirectElement(FreeWord.generator(n, i), BraidWord.identity(n))
-            assert g.commutes_with(h)
-        for j in range(1, n):
-            h = SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, j))
-            assert g.commutes_with(h)
+        assert (cx := verify.center_action(n=n)) is None, cx
+        assert (cx := verify.semidirect_center(n=n)) is None, cx
 
 
 @criterion("4", "classification: 100 random cocycles per n in {2,3,4,5}", 30.0)
 def test_criterion_04_classification():
     rng = random.Random(2024_04)
     for n in (2, 3, 4, 5):
-        for t in range(100):
-            c = random_braid_cocycle(n, rng)
-            report = validate_braid_cocycle(c)
-            assert report.ok  # (a) validator and (b) relation well-definedness
-            mu1, mu2 = mu_params(c)
-            if t % 2 == 0:
-                partner = build_braid_cocycle(
-                    n, mu1, mu2, diag=[random_angle(rng) for _ in range(n - 1)]
-                )
-                witness = similar_braid_cocycles(c, partner)
-                assert witness is not None
-                for i in range(1, n):
-                    for j in range(1, n + 1):
-                        diff = c.entry(i, j) - partner.entry(i, j)
-                        if j == i:
-                            assert diff == witness.values[i] - witness.values[i - 1]
-                        elif j == i + 1:
-                            assert diff == witness.values[i - 1] - witness.values[i]
-                        else:
-                            assert not diff
-            else:
-                bump = Angle.symbol("marker")
-                if n >= 3 and t % 4 == 1:
-                    partner = build_braid_cocycle(n, mu1, mu2 + bump)
-                else:
-                    partner = build_braid_cocycle(n, mu1 + bump, mu2)
-                assert similar_braid_cocycles(c, partner) is None
+        assert (cx := verify.classification(rng, n=n, samples=100)) is None, cx
 
 
 @criterion("5", "phi(z, x_i) = mu = (n-1) phi(s_j, x1..xn), 50 cocycles, n=3..5", 30.0)
 def test_criterion_05_z_relation():
     rng = random.Random(2024_05)
     for n in (3, 4, 5):
-        z = center_z(n)
-        prod = full_word(n)
-        for _ in range(50):
-            c = random_braid_cocycle(n, rng)
-            mu = mu_phi(c)
-            for i in range(1, n + 1):
-                assert extend(c, z, FreeWord.generator(n, i)) == mu
-            for j in range(1, n):
-                assert extend(c, BraidWord.generator(n, j), prod).scale(n - 1) == mu
+        assert (cx := verify.z_relation(rng, n=n, samples=50)) is None, cx
 
 
 @criterion("6", "central probe: sigma-regular iff total phase torsion, n=3,4", 10.0)
 def test_criterion_06_kleppner_probe():
     for n in (3, 4):
-        tests = [
-            SemidirectElement(FreeWord.generator(n, j), BraidWord.identity(n))
-            for j in range(1, n + 1)
-        ] + [
-            SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, i))
-            for i in range(1, n)
-        ]
-        torsion = build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 8))
-        mu = mu_phi(torsion)
-        d = mu.torsion_order()
-        assert d is not None
-        g = center_element(n, d * (n - 1))
-        report = sigma_regular(TwoCocycleSigmaPhi(torsion), g, tests)
-        assert report.regular
-        nontorsion = build_braid_cocycle(n, Angle.symbol("th1"), Angle.zero())
-        g = center_element(n, n - 1)
-        report = sigma_regular(TwoCocycleSigmaPhi(nontorsion), g, tests)
-        assert any(report.discrepancies[j] for j in range(n))
-        assert not report.regular
+        assert (cx := verify.kleppner_probe(n=n)) is None, cx
 
 
 @criterion("7", "verdict logic: rank-2 iff cases and the rank-3 open middle", 5.0)
 def test_criterion_07_verdict_logic():
-    th1 = Angle.symbol("th1")
-    live = BraidOneCocycle(2, ((th1, Angle.zero()),))
-    assert evaluate_conditions("bn", live).verdict == "SimpleAndUniqueTrace"
-    dead = BraidOneCocycle(2, ((Angle.rational(1, 2), Angle.zero()),))
-    assert evaluate_conditions("bn", dead).verdict == "NotFactor"
-    pure_live = build_pure_cocycle(2, {(1, 2): [th1, Angle.zero()]})
-    assert evaluate_conditions("pn", pure_live).verdict == "SimpleAndUniqueTrace"
-    pure_dead = build_pure_cocycle(2, {(1, 2): [Angle.rational(1, 3), Angle.zero()]})
-    assert evaluate_conditions("pn", pure_dead).verdict == "NotFactor"
-    # every nu_k torsion, one row sum nontorsion: Kleppner holds, relative
-    # variant fails, and the verdict must stay Indeterminate
-    mixed = build_pure_cocycle(
-        3,
-        {
-            (1, 2): [th1, Angle.zero(), Angle.zero()],
-            (1, 3): [-th1, Angle.zero(), Angle.zero()],
-        },
-    )
-    verdict = evaluate_conditions("pn", mixed)
-    assert verdict.verdict == "Indeterminate"
-    assert verdict.details["kleppner"] == "holds"
-    # condition (i) vs (iv) angles, computed exactly
-    assert verdict.details["nu1"] == "0"
-    assert verdict.details["phi(a(1,2),x1..x3)"] == "th1"
-    assert verdict.details["phi(a(1,3),x1..x3)"] == "-th1"
-    flat = build_pure_cocycle(3, {(1, 2): [Angle.rational(1, 2)] * 3})
-    verdict = evaluate_conditions("pn", flat)
-    assert verdict.verdict == "NotFactor" and verdict.details["kleppner"] == "fails"
+    assert (cx := verify.verdict_logic()) is None, cx
 
 
 @criterion("8", "exceptional identities: the rank-3 splitting and the annular relation", 1.0)
 def test_criterion_08_remark_identities():
-    free, central = p3_image(center_z_pure_word(3))
-    assert free.is_identity and central == 1
-    t1 = parse_braid_word("s1", 3)
-    t2 = parse_braid_word("s2^2", 3)
-    assert equal((t1 * t2) ** 2, (t2 * t1) ** 2)
+    assert (cx := verify.remark_p3()) is None, cx
+    assert (cx := verify.remark_a3()) is None, cx
 
 
 @criterion("9", "a-alphabet rewriting round-trips, 100 pure words, n<=4, len<=16", 60.0)
 def test_criterion_09_rewrite_roundtrip():
     rng = random.Random(2024_09)
     for _ in range(100):
-        n = rng.randint(2, 4)
-        w = random_pure_braid_word(n, 16, rng)
-        assert is_pure(w)
-        aw = rewrite_pure(w)
-        assert equal(aw.expand(), w)
+        assert (cx := verify.pure_rewrite(rng, n=rng.randint(2, 4), samples=1)) is None, cx
 
 
 @criterion("10", "embedded centers are never central again, 3<=m<n<=6", 30.0)
 def test_criterion_10_stable_embeddings():
     for m in range(3, 6):
         for n in range(m + 1, 7):
-            zm = embed(center_z(m), n)
-            for k in range(-3, 4):
-                assert not equal(zm, center_z(n) ** k)
-            for i in range(1, m):
-                s = BraidWord.generator(n, i)
-                assert equal(zm * s, s * zm)
-            s = BraidWord.generator(n, m)
-            assert not equal(zm * s, s * zm)
+            assert (cx := verify.center_embedding(m=m, n=n)) is None, cx
 
 
 @criterion("11", "action oracle == canonical-form oracle on 500 seeded pairs", 60.0)
 def test_criterion_11_oracle_cross_check():
     rng = random.Random(2024_11)
-    equal_seen = unequal_seen = 0
-    for t in range(500):
-        n = rng.randint(2, 5)
-        if t % 2 == 0:
-            a = random_braid_word(n, rng.randint(0, 30), rng)
-            b = random_braid_word(n, rng.randint(0, 30), rng)
-        else:
-            a, b = random_equal_pair(n, 30, rng)
-        via_action = equal(a, b)
-        via_form = garside_normal_form(a) == garside_normal_form(b)
-        assert via_action == via_form
-        if via_action:
-            equal_seen += 1
-        else:
-            unequal_seen += 1
-    # the sample must exercise both answers
-    assert equal_seen >= 100 and unequal_seen >= 100
+    assert (cx := verify.oracle_agreement(rng, max_n=5)) is None, cx

@@ -205,3 +205,53 @@ def test_verify_timings_flag(capsys):
     assert code == 0
     report = json.loads(out)
     assert all("elapsed_ms" in c for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--group", "bn", "--n", "0", "s1"],
+        ["act", "--n", "0", "s1", "x1"],
+        ["equal", "--group", "fn", "--n", "-2", "e", "e"],
+        ["cocycle-build", "--n", "1", "--mu1", "0"],
+        ["cocycle-build", "--n", "3", "--mu1", "0", "--diag", "0"],
+        ["verify", "--max-n", "1"],
+    ],
+)
+def test_bad_sizes_exit_rank_error(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rank error:") and err.count("\n") == 1
+
+
+def test_cocycle_classify_rejects_invalid_table(tmp_path, capsys):
+    entries = [[f"s{i}", f"x{j}", "0"] for i in (1, 2) for j in (1, 2, 3)]
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps({"n": 3, "entries": entries}))
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({"n": 3, "entries": entries + [["s2", "x1", "1/2"]]}))
+    assert main(["cocycle-classify", str(valid), str(invalid)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "rel1[i=1]" in err
+
+
+@pytest.mark.parametrize(
+    "family, doc",
+    [
+        ("pn", {"n": 3, "entries": [5]}),
+        ("mackey", {"n": 3, "entries": [["a(1,2)", "x1", "1/2"]], "omega": 5}),
+        ("mackey", {"n": 3, "entries": [["a(1,2)", "x1", "1/2"]], "omega": [5]}),
+    ],
+)
+def test_verdict_malformed_entries(tmp_path, capsys, family, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verdict", "--cocycle", str(path), "--family", family]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_verdict_table_with_too_few_strands(tmp_path, capsys):
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"n": 0, "entries": []}))
+    assert main(["verdict", "--cocycle", str(tiny), "--family", "pn"]) == 3
+    assert capsys.readouterr().err.startswith("rank error:")

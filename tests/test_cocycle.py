@@ -34,7 +34,6 @@ from braidphase.cocycle import (
     nu,
     random_braid_cocycle,
     restrict_to_pure,
-    sigma_eval,
     sigma_regular,
     similar_braid_cocycles,
     validate_braid_cocycle,
@@ -403,9 +402,9 @@ def test_sigma_examples():
     sigma = TwoCocycleSigmaPhi(c)
     g1 = SemidirectElement(FreeWord.generator(2, 1), BraidWord.identity(2))
     g2 = SemidirectElement(FreeWord.generator(2, 2), parse_braid_word("s1", 2))
-    assert sigma_eval(sigma, g1, g2) == Angle.zero()
+    assert sigma.evaluate(g1, g2) == Angle.zero()
     g3 = SemidirectElement(FreeWord.identity(2), parse_braid_word("s1", 2))
-    assert sigma_eval(sigma, g3, g1) == c.entry(1, 1)
+    assert sigma.evaluate(g3, g1) == c.entry(1, 1)
 
 
 def test_sigma_two_cocycle_identity_and_normalization():
