@@ -9,8 +9,8 @@ problem:
 * :func:`equal` compares the induced free-group automorphisms (the action is
   faithful), and
 * :func:`garside_normal_form` computes the left-greedy canonical form
-  ``Delta^p A_1 ... A_k`` whose factors are permutation braids; words are
-  equal exactly when their forms coincide.
+  ``Delta^p A_1 ... A_k`` (factors are permutation braids) by incremental
+  left-weighting; words are equal exactly when their forms coincide.
 
 The module also builds the standard pure-braid generators
 
@@ -132,12 +132,16 @@ class Permutation:
 
     def reduced_word(self) -> tuple[int, ...]:
         """A deterministic reduced word whose left-to-right product is self."""
+        # cut the smallest right descent i off (p -> p s_i); none is left below i - 1
         word: list[int] = []
-        p = self
-        while not p.is_identity:
-            i = min(p.right_descents())
-            word.append(i)
-            p = p * Permutation.transposition(p.size, i)
+        p, i = list(self.image), 1
+        while i < len(p):
+            if p[i - 1] > p[i]:
+                p[i - 1], p[i] = p[i], p[i - 1]
+                word.append(i)
+                i = max(1, i - 1)
+            else:
+                i += 1
         return tuple(reversed(word))
 
 
@@ -308,15 +312,8 @@ class GarsideForm:
     factors: tuple[Permutation, ...]
 
     def as_braid_word(self) -> BraidWord:
-        letters: list[tuple[int, int]] = []
-        d = delta(self.strands)
-        if self.power >= 0:
-            letters.extend(d.letters * self.power)
-        else:
-            letters.extend(d.inverse().letters * (-self.power))
-        for p in self.factors:
-            letters.extend((i, 1) for i in p.reduced_word())
-        return BraidWord(self.strands, tuple(letters))
+        positive = tuple((i, 1) for p in self.factors for i in p.reduced_word())
+        return BraidWord(self.strands, (delta(self.strands) ** self.power).letters + positive)
 
     def __str__(self) -> str:
         out = f"D^{self.power}"
@@ -325,61 +322,64 @@ class GarsideForm:
         return out
 
 
-def _left_weight(n: int, factors: list[Permutation]) -> tuple[int, list[Permutation]]:
-    """Sweep a list of permutation-braid factors into left-weighted form.
+def _descents(image: tuple[int, ...] | list[int]) -> int:
+    """Right descents as a bitmask: bit i is set when image(i) > image(i+1)."""
+    return sum(1 << i for i in range(1, len(image)) if image[i - 1] > image[i])
 
-    Returns the power of Delta absorbed from the front together with the
-    remaining factors.  Each local fix moves crossings to the left, so the
-    sweeps terminate.
-    """
-    w0 = Permutation.longest(n)
-    fs = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(fs) - 1):
-            a, b = fs[t], fs[t + 1]
-            moved = False
-            while True:
-                need = b.left_descents() - a.right_descents()
-                if not need:
-                    break
-                j = min(need)
-                tj = Permutation.transposition(n, j)
-                a = a * tj
-                b = tj * b
-                moved = True
-            if moved:
-                fs[t], fs[t + 1] = a, b
-                changed = True
-    power = 0
-    while fs and fs[0] == w0:
-        power += 1
-        fs.pop(0)
-    while fs and fs[-1].is_identity:
-        fs.pop()
-    return power, fs
+
+def _inverse(image: tuple[int, ...] | list[int]) -> list[int]:
+    inv = [0] * len(image)
+    for i, v in enumerate(image, start=1):
+        inv[v - 1] = i
+    return inv
+
+
+def _weight_pair(a: tuple[int, ...], b: tuple[int, ...]):
+    """Left-weight two permutation braids a b, or None if they already are:
+    while b starts with an s_j that a does not end with, move s_j from b onto a.
+    b starts with s_j when j is a right descent of b's inverse, which is tracked."""
+    binv = _inverse(b)
+    need = _descents(binv) & ~_descents(a)
+    if not need:
+        return None
+    a, n = list(a), len(a)
+    while need:
+        j = (need & -need).bit_length() - 1
+        a[j - 1], a[j] = a[j], a[j - 1]
+        binv[j - 1], binv[j] = binv[j], binv[j - 1]
+        for k in range(max(1, j - 1), min(n, j + 2)):  # only these bits can change
+            need = need & ~(1 << k) | (binv[k - 1] > binv[k] and a[k - 1] < a[k]) << k
+    return tuple(a), tuple(_inverse(binv))
 
 
 def garside_normal_form(b: BraidWord) -> GarsideForm:
-    """Canonical left normal form; the second word-problem oracle."""
+    """Canonical left normal form; the second word-problem oracle.
+
+    s_i^-1 = Delta^-1 (Delta s_i^-1), and moving Delta^-1 to the front
+    conjugates each factor it passes, which sends s_j to s_{n-j}.  The positive
+    factors, bare permutation tuples, are appended one at a time, and after
+    each one adjacent pairs are left-weighted from the right end leftward only
+    while they still change (incremental left-weighting: El-Rifai & Morton
+    1994; Epstein et al. 1992, ch. 9).  Delta factors gather at the front.
+    """
     n = b.strands
-    w0 = Permutation.longest(n)
-    chunks: list[tuple[int, Permutation]] = []
+    identity, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    behind = flips = sum(e < 0 for _, e in b.letters)
+    factors: list[tuple[int, ...]] = []
     for i, e in b.letters:
-        t = Permutation.transposition(n, i)
-        # s_i is the lift of the transposition; s_i^-1 = Delta^-1 (Delta s_i^-1)
-        # whose positive part is the lift of w0 * t.
-        chunks.append((0, t) if e == 1 else (-1, w0 * t))
-    total = sum(d for d, _ in chunks)
-    positive: list[Permutation] = []
-    behind = 0  # Delta power strictly to the right, moved left past this factor
-    for d, p in reversed(chunks):
-        positive.append(p.conjugate_by_longest() if behind % 2 else p)
-        behind += d
-    positive.reverse()
-    extra, factors = _left_weight(n, positive)
-    return GarsideForm(n, total + extra, tuple(factors))
+        behind -= e < 0  # the Delta^-1 strictly to the right of this letter
+        i = n - i if behind % 2 else i
+        image = list(identity if e > 0 else w0)
+        image[i - 1], image[i] = image[i], image[i - 1]
+        factors.append(tuple(image))
+        t = len(factors) - 1
+        while t and (pair := _weight_pair(factors[t - 1], factors[t])):
+            factors[t - 1 : t + 1] = pair
+            t -= 1
+        if factors[-1] == identity:
+            factors.pop()
+    power = next((k for k, f in enumerate(factors) if f != w0), len(factors))
+    return GarsideForm(n, power - flips, tuple(Permutation(f) for f in factors[power:]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import artin
 from .braid import (
@@ -491,7 +491,9 @@ def sigma_regular(
 # External 2-cocycles on the pure braid group (for the tower construction)
 # ---------------------------------------------------------------------------
 
-OmegaOracle = Callable[[PureWord, PureWord], Angle]
+if TYPE_CHECKING:  # at run time typing's cache would keep this alias, and so the
+    # classes and modules of every earlier import of the package, alive
+    OmegaOracle = Callable[[PureWord, PureWord], Angle]
 
 
 @dataclass(frozen=True)
@@ -777,7 +779,7 @@ def cohomology_parameters(group: str, n: int) -> CohomologyParameters:
         if n < 1:
             raise ValueError("need at least 1 strand")
         product = n * (n - 1) * (n - 2) * (3 * n - 1)
-        assert product % 24 == 0
+        # n(n-1)(n-2)(3n-1) is divisible by 24 for every integer n
         return CohomologyParameters("Pn_H2", n, product // 24, 0, ())
     if key == "an":
         if n < 3:

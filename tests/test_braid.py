@@ -108,13 +108,33 @@ def test_garside_examples():
     assert form.power == -1 and len(form.factors) == 1
     # cross-check the inverse-letter conversion against the action oracle
     assert equal(form.as_braid_word(), parse_braid_word("s1^-1", 3))
+    # exact forms, pinned so that a rewrite of the engine cannot change them
+    golden = [
+        (4, "s1^-1*s3*s1^-1*s3^-2*s1*s3*s1^-3*s3^-1*s1^-1",
+         "D^-5 * (s1*s2*s3*s1*s2) * (s2*s3*s1*s2*s1) * (s1*s2*s3*s1*s2)"
+         " * (s2*s3*s1*s2*s1) * (s2*s3*s1*s2)"),
+        (4, "s1*s2*s1*s3*s2*s1*s2*s3^-1*s1", "D^0 * (s2*s3*s2*s1) * (s3*s2*s1)"),
+        (6, "s3^-2*s5*s3*s5^-1*s3^-1*s2^-1*s1^-1*s3^-1*s1^-1*s5^-1*s4^-2*s5",
+         "D^-3 * (s1*s2*s3*s4*s5*s1*s2*s3*s4*s2*s3*s1*s2*s1) * (s4*s5*s1*s2*s3*s4*s2*s3*s1)"
+         " * (s1*s2*s3*s4*s5*s2*s3*s4*s1*s2*s3*s1*s2) * (s5)"),
+        (6, str(center_z(6) * parse_braid_word("s5^-1*s2*s4", 6)),
+         "D^1 * (s2*s3*s4*s5*s1*s2*s3*s4*s1*s2*s3*s1*s2*s1) * (s4*s2)"),
+        (8, "s5*s7^2*s4^2*s7*s6^-3*s5^-1*s6^-1*s5^-1*s7^-1*s4*s3^-1*s1*s2^-1*s7^-1",
+         "D^-4 * (s1*s2*s3*s4*s5*s6*s7*s1*s2*s3*s4*s5*s6*s1*s2*s3*s4*s5*s1*s2*s3*s4*s3*s1)"
+         " * (s1*s2*s3*s4*s5*s6*s7*s2*s3*s4*s5*s6*s2*s3*s4*s5*s1*s2*s3*s4*s1*s2*s3*s1*s2*s1)"
+         " * (s1*s2*s3*s4*s5*s6*s7*s1*s2*s3*s4*s5*s6*s1*s2*s3*s4*s5*s3*s4*s3*s2*s1)"
+         " * (s6*s7*s6*s4*s3*s1) * (s6*s1*s2*s3*s4*s5*s2*s3*s4*s3*s2*s1)"
+         " * (s4*s5*s6*s7*s3*s4*s3*s2) * (s4*s5*s6*s7*s3*s4*s5*s6*s2*s3*s4)"),
+    ]
+    for n, word, expected in golden:
+        assert str(garside_normal_form(parse_braid_word(word, n))) == expected
 
 
 def test_garside_canonical_form_properties():
     rng = random.Random(7)
     for _ in range(60):
-        n = rng.randint(2, 5)
-        w = random_braid_word(n, rng.randint(0, 25), rng)
+        n = rng.randint(2, 8)
+        w = random_braid_word(n, rng.randint(0, 60), rng)
         form = garside_normal_form(w)
         w0 = Permutation.longest(n)
         for p in form.factors:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -699,3 +702,24 @@ def test_rank_errors():
         extend(c, parse_braid_word("s1", 2), FreeWord.generator(2, 1))
     with pytest.raises(RankError):
         SemidirectElement(FreeWord.generator(2, 1), BraidWord.identity(3))
+
+
+def test_reimport_keeps_no_old_modules_alive():
+    # A typing alias evaluated at import time (Callable[[PureWord, ...], Angle])
+    # sits in typing's cache and pins the classes, and with them the modules,
+    # of every earlier import.  Run in a child so this process keeps its modules.
+    script = (
+        "import gc, importlib, sys\n"
+        "for _ in range(3):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'braidphase']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('braidphase')\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__module__ == 'braidphase.phase'\n"
+        "          and o.__name__ == 'Angle' for o in gc.get_objects()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "1"
