@@ -18,7 +18,9 @@ The module also builds the standard pure-braid generators
 
 the half twist ``Delta`` and the full twist ``z = Delta^2``, and rewrites an
 arbitrary pure word into the ``a_{i,j}`` alphabet by coset rewriting along a
-tower of point-stabilizer subgroups (see :func:`rewrite_pure`).
+tower of point-stabilizer subgroups (see :func:`rewrite_pure`, the canonical
+form of ``P_n``).  Where only the abelianization of ``P_n`` matters,
+:func:`linking_numbers` gives its coordinates in one pass without rewriting.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "equal",
     "garside_normal_form",
     "rewrite_pure",
+    "linking_numbers",
     "embed",
     "p3_image",
     "parse_braid_word",
@@ -533,6 +536,28 @@ def rewrite_pure(b: BraidWord) -> PureWord:
         free, current = _annular_split(current)
         out.extend(((j, m), e) for j, e in free.letters)
     return PureWord(b.strands, tuple(out))
+
+
+def linking_numbers(b: BraidWord) -> dict[tuple[int, int], int]:
+    """Pairwise linking numbers lk(p, q), 1 <= p < q <= n, of a pure braid.
+
+    Strands are labelled by their starting position, and lk(p, q) is half
+    the signed count of crossings between strands p and q.  These are the
+    coordinates of the abelianization H_1(P_n) = Z^{n(n-1)/2}: lk(p, q) is
+    the exponent sum of a_{p,q} in any a-alphabet word for the braid, such as
+    :func:`rewrite_pure`'s.  One pass over the word.
+    """
+    n = b.strands
+    start = list(range(1, n + 1))
+    strand = start.copy()  # label of the strand at each position
+    crossings = {(p, q): 0 for q in range(2, n + 1) for p in range(1, q)}
+    for i, sign in b.letters:
+        p, q = strand[i - 1], strand[i]
+        crossings[(p, q) if p < q else (q, p)] += sign
+        strand[i - 1], strand[i] = q, p
+    if strand != start:
+        raise ValueError("braid word is not pure")
+    return {pair: count // 2 for pair, count in crossings.items()}
 
 
 def p3_image(w: PureWord) -> tuple[FreeWord, int]:

@@ -38,6 +38,7 @@ from .braid import (
     center_z_pure_word,
     defining_relations,
     equal as braid_equal,
+    linking_numbers,
     pure_generator,
 )
 from .errors import MissingOmegaError, ParseError, RankError
@@ -192,34 +193,36 @@ def extend(c: BraidOneCocycle, a: BraidWord, x: FreeWord) -> Angle:
     Uses phi(l w, x) = phi(l, w.x) + phi(w, x) with phi(s^-1, y) =
     -phi(s, s^-1.y).  Since phi(a, -) is a character it only sees the
     exponent-sum vector of its argument, and the action permutes that
-    vector, so the recursion runs on integer vectors.
+    vector, so the recursion runs on integer vectors: each letter s_i^{+-1}
+    adds +-v into row i of an integer count matrix N, and the value is
+    sum N_ij phi(s_i, x_j), formed once.  O(L n + n^2) integer steps and a
+    single Angle construction.
     """
     if a.strands != c.n or x.rank != c.n:
         raise RankError("cocycle, braid word and free word must share one rank")
     v = list(x.abelianize())
-    total = Angle.zero()
+    counts = [[0] * c.n for _ in range(c.n - 1)]
     for i, sign in reversed(a.letters):
-        row = c.table[i - 1]
+        if sign == -1:
+            v[i - 1], v[i] = v[i], v[i - 1]
+        row = counts[i - 1]
+        for j, coeff in enumerate(v):
+            if coeff:
+                row[j] += sign * coeff
         if sign == 1:
-            for j, coeff in enumerate(v):
-                if coeff:
-                    total = total + row[j].scale(coeff)
             v[i - 1], v[i] = v[i], v[i - 1]
-        else:
-            v[i - 1], v[i] = v[i], v[i - 1]
-            for j, coeff in enumerate(v):
-                if coeff:
-                    total = total - row[j].scale(coeff)
-    return total
+    return Angle.combination(
+        (k, angle)
+        for row, angles in zip(counts, c.table)
+        if any(row)
+        for k, angle in zip(row, angles)
+        if k
+    )
 
 
 def mu_phi(c: BraidOneCocycle) -> Angle:
     """Sum of all table entries, the total phase of the cocycle."""
-    total = Angle.zero()
-    for row in c.table:
-        for value in row:
-            total = total + value
-    return total
+    return Angle.combination((1, value) for row in c.table for value in row)
 
 
 def mu_params(c: BraidOneCocycle) -> tuple[Angle, Angle | None]:
@@ -282,6 +285,11 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
 
 
+def _pair_index(i: int, j: int) -> int:
+    """Position of (i, j) in :func:`_pairs`, in closed form."""
+    return (j - 1) * (j - 2) // 2 + i - 1
+
+
 @dataclass(frozen=True)
 class PureOneCocycle:
     """Table phi(a_{i,j}, x_k) for 1 <= i < j <= n, 1 <= k <= n.
@@ -303,7 +311,9 @@ class PureOneCocycle:
 
     def entry(self, i: int, j: int, k: int) -> Angle:
         """phi(a_{i,j}, x_k), 1-based."""
-        return self.rows[_pairs(self.n).index((i, j))][k - 1]
+        if not 1 <= i < j <= self.n:
+            raise ValueError(f"need 1 <= i < j <= {self.n}, got i={i}, j={j}")
+        return self.rows[_pair_index(i, j)][k - 1]
 
 
 def build_pure_cocycle(
@@ -324,25 +334,30 @@ def build_pure_cocycle(
 
 def nu(c: PureOneCocycle, k: int) -> Angle:
     """Column sum: the value of the cocycle on the full twist at x_k."""
-    total = Angle.zero()
-    for row in c.rows:
-        total = total + row[k - 1]
-    return total
+    return Angle.combination((1, row[k - 1]) for row in c.rows)
 
 
 def extend_pure(c: PureOneCocycle, w: PureWord, x: FreeWord) -> Angle:
     """Evaluate on an a-alphabet word; additive over letters because the
-    action is trivial on characters, multiplicative over the free argument."""
+    action is trivial on characters, multiplicative over the free argument.
+
+    The value depends only on the exponent sum e_ij of each a_{i,j} in w
+    and the exponent sums x_k of x: sum e_ij x_k phi(a_{i,j}, x_k), formed
+    once from integer counts.
+    """
     if w.strands != c.n or x.rank != c.n:
         raise RankError("cocycle, pure word and free word must share one rank")
     ab = x.abelianize()
-    total = Angle.zero()
+    exps = [0] * len(c.rows)
     for (i, j), exp in w.letters:
-        row = c.rows[_pairs(c.n).index((i, j))]
-        for k, coeff in enumerate(ab):
-            if coeff:
-                total = total + row[k].scale(coeff * exp)
-    return total
+        exps[_pair_index(i, j)] += exp
+    return Angle.combination(
+        (exp * coeff, angle)
+        for exp, row in zip(exps, c.rows)
+        if exp
+        for coeff, angle in zip(ab, row)
+        if coeff
+    )
 
 
 def restrict_to_pure(c: BraidOneCocycle) -> PureOneCocycle:
@@ -438,8 +453,11 @@ class TwoCocycleSigmaPhi:
     """The normalized 2-cocycle sigma((x,a),(y,b)) = phi(a, y).
 
     The underlying 1-cocycle may live on the braid group (elements of
-    F_n x| B_n) or on the pure braid group, in which case braid components
-    are rewritten into the a-alphabet before evaluation.
+    F_n x| B_n) or on the pure braid group.  A pure cocycle is a
+    homomorphism on P_n, so it factors through H_1(P_n): the braid
+    component is evaluated through its pairwise linking numbers, as the
+    abelian word prod a_{p,q}^{lk(p,q)}, with no rewriting into the
+    a-alphabet.
     """
 
     cocycle: BraidOneCocycle | PureOneCocycle
@@ -453,9 +471,8 @@ class TwoCocycleSigmaPhi:
             raise RankError("elements do not match the cocycle rank")
         if isinstance(self.cocycle, BraidOneCocycle):
             return extend(self.cocycle, g1.braid, g2.free)
-        from .braid import rewrite_pure
-
-        return extend_pure(self.cocycle, rewrite_pure(g1.braid), g2.free)
+        abelian = PureWord(self.n, tuple(linking_numbers(g1.braid).items()))
+        return extend_pure(self.cocycle, abelian, g2.free)
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,7 @@ class Character:
     def __call__(self, word: FreeWord) -> Angle:
         if word.rank != self.rank:
             raise RankError(f"rank mismatch: {self.rank} vs {word.rank}")
-        total = Angle.zero()
-        for idx, exp in word.letters:
-            total = total + self.values[idx - 1].scale(exp)
-        return total
+        return Angle.combination((exp, self.values[idx - 1]) for idx, exp in word.letters)
 
 
 @dataclass(frozen=True)

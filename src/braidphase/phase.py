@@ -14,9 +14,11 @@ conjugation becomes negation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -59,6 +61,25 @@ class Angle:
     @classmethod
     def symbol(cls, name: str, coeff: int = 1) -> Angle:
         return cls(Fraction(0), ((name, coeff),))
+
+    @classmethod
+    def combination(cls, terms: Iterable[tuple[int, Angle]]) -> Angle:
+        """``sum k * angle`` over ``(k, angle)`` terms, built as one Angle.
+
+        Numerators are summed per denominator and then over the common
+        denominator, symbol coefficients per name, all as plain integers, so
+        the sum costs one construction however many terms it has.
+        """
+        numerators: dict[int, int] = {}
+        coeffs: dict[str, int] = {}
+        for k, angle in terms:
+            q = angle.frac
+            numerators[q.denominator] = numerators.get(q.denominator, 0) + k * q.numerator
+            for name, c in angle.syms:
+                coeffs[name] = coeffs.get(name, 0) + k * c
+        den = math.lcm(*numerators)
+        num = sum(k * (den // d) for d, k in numerators.items())
+        return cls(Fraction(num, den), tuple(coeffs.items()))
 
     def __add__(self, other: Angle) -> Angle:
         if not isinstance(other, Angle):

@@ -45,6 +45,7 @@ from .cocycle import (
     coboundary_of_character,
     evaluate_conditions,
     extend,
+    extend_pure,
     mu_params,
     mu_phi,
     random_angle,
@@ -316,6 +317,25 @@ def sigma_identity(rng: random.Random, *, n: int) -> str | None:
     return None
 
 
+def pure_sigma_linking(rng: random.Random, *, n: int) -> str | None:
+    """Pure sigma, evaluated through linking numbers, against the value on
+    the rewritten a-alphabet word, on 20 pure words of length 16."""
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    c = build_pure_cocycle(n, {p: [random_angle(rng) for _ in range(n)] for p in pairs})
+    sigma = TwoCocycleSigmaPhi(c)
+    for _ in range(20):
+        b = random_pure_braid_word(n, 16, rng)
+        y = FreeWord(
+            n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(rng.randint(0, 6)))
+        )
+        g1 = SemidirectElement(FreeWord.identity(n), b)
+        g2 = SemidirectElement(y, random_braid_word(n, rng.randint(0, 6), rng))
+        value, reference = sigma.evaluate(g1, g2), extend_pure(c, rewrite_pure(b), y)
+        if value != reference:
+            return f"sigma on {b}, {y} is {value}, rewriting gives {reference}"
+    return None
+
+
 def coboundary(rng: random.Random, *, n: int) -> str | None:
     zero = build_braid_cocycle(n, Angle.zero(), Angle.zero())
     for _ in range(15):
@@ -417,6 +437,9 @@ REGISTRY = (
     ("sigma-identity.n{n}", "cocycle",
      "sigma^phi is a normalized 2-cocycle on the semidirect product",
      sigma_identity, _sizes(2, 4)),
+    ("pure-sigma-linking.n{n}", "cocycle",
+     "pure sigma^phi through linking numbers equals its value on the rewritten word",
+     pure_sigma_linking, _sizes(2, 5)),
     ("coboundary.n{n}", "cocycle",
      "coboundaries are exactly the tables with vanishing parameters",
      coboundary, _sizes(2, 5)),

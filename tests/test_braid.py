@@ -14,6 +14,7 @@ from braidphase.braid import (
     equal,
     garside_normal_form,
     is_pure,
+    linking_numbers,
     p3_image,
     parse_braid_word,
     parse_pure_word,
@@ -176,6 +177,38 @@ def test_rewrite_pure_roundtrip():
         assert is_pure(w)
         aw = rewrite_pure(w)
         assert equal(aw.expand(), w)
+
+
+def _exponent_sums(w: PureWord) -> dict[tuple[int, int], int]:
+    n = w.strands
+    sums = {(p, q): 0 for q in range(2, n + 1) for p in range(1, q)}
+    for pair, exp in w.letters:
+        sums[pair] += exp
+    return sums
+
+
+def test_linking_numbers_examples():
+    assert linking_numbers(parse_braid_word("s1^2", 2)) == {(1, 2): 1}
+    assert linking_numbers(parse_braid_word("s1^-4", 3)) == {(1, 2): -2, (1, 3): 0, (2, 3): 0}
+    # a(1,3) = s2 s1^2 s2^-1 links strands 1 and 3 only
+    assert linking_numbers(pure_generator(1, 3, 3)) == {(1, 2): 0, (1, 3): 1, (2, 3): 0}
+    assert linking_numbers(BraidWord.identity(4)) == {
+        (p, q): 0 for q in range(2, 5) for p in range(1, q)
+    }
+    for n in (2, 3, 4, 6):
+        assert set(linking_numbers(center_z(n)).values()) == {1}
+        assert set(linking_numbers(center_z(n) ** -3).values()) == {-3}
+    for text in ("s1", "s1*s2", "s1^2*s2^3"):
+        with pytest.raises(ValueError, match="braid word is not pure"):
+            linking_numbers(parse_braid_word(text, 3))
+
+
+def test_linking_numbers_are_rewrite_exponent_sums():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(2, 5)
+        w = random_pure_braid_word(n, rng.randint(0, 24), rng)
+        assert linking_numbers(w) == _exponent_sums(rewrite_pure(w))
 
 
 def test_embed():

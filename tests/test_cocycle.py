@@ -16,6 +16,7 @@ from braidphase.braid import (
     pure_generator,
     random_braid_word,
     random_pure_braid_word,
+    rewrite_pure,
 )
 from braidphase.cocycle import (
     BraidOneCocycle,
@@ -35,6 +36,7 @@ from braidphase.cocycle import (
     mu_params,
     mu_phi,
     nu,
+    random_angle,
     random_braid_cocycle,
     restrict_to_pure,
     sigma_regular,
@@ -203,6 +205,37 @@ def test_extend_matches_literal_recursion():
         w = random_braid_word(n, rng.randint(0, 8), rng)
         x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
         assert extend(c, w, x) == _naive_extend(c, w, x)
+
+
+# str(extend(...)) recorded with the per-letter Angle recursion on seeded
+# (n, seed, valid table, value) cases that _naive_extend cannot reach: words
+# of 625 random letters of both signs, tables with three symbols; the last
+# table is arbitrary, not a cocycle, so its value depends on the word.
+EXTEND_GOLDEN = [
+    (8, 1, True, "2/3 + th1 + 2*th2 - 85*th3"),
+    (8, 2, True, "2/3 - 9*th1 - 4*th2 - 8*th3"),
+    (12, 3, True, "1/24 + 24*th1 - 24*th2 + 27*th3"),
+    (12, 4, False, "17/24 + 29*th1 + 97*th2 - 51*th3"),
+]
+
+
+def test_extend_golden_values_at_large_sizes():
+    symbols = ("th1", "th2", "th3")
+    for n, seed, valid, expected in EXTEND_GOLDEN:
+        rng = random.Random(seed)
+        if valid:
+            c = random_braid_cocycle(n, rng, symbols)
+        else:
+            c = BraidOneCocycle(
+                n,
+                tuple(
+                    tuple(random_angle(rng, symbols) for _ in range(n))
+                    for _ in range(n - 1)
+                ),
+            )
+        w = random_braid_word(n, 625, rng)
+        x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(8)))
+        assert str(extend(c, w, x)) == expected
 
 
 def test_z_relation():
@@ -388,8 +421,6 @@ def test_restricted_cocycle_matches_extension_on_pure_words():
         c = random_braid_cocycle(n, rng)
         p = restrict_to_pure(c)
         w = random_pure_braid_word(n, 12, rng)
-        from braidphase.braid import rewrite_pure
-
         aw = rewrite_pure(w)
         x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
         assert extend_pure(p, aw, x) == extend(c, w, x)
@@ -408,6 +439,44 @@ def test_sigma_examples():
     assert sigma.evaluate(g1, g2) == Angle.zero()
     g3 = SemidirectElement(FreeWord.identity(2), parse_braid_word("s1", 2))
     assert sigma.evaluate(g3, g1) == c.entry(1, 1)
+
+
+def _symbolic_pure_cocycle(n: int, rng: random.Random):
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    return build_pure_cocycle(n, {p: [random_angle(rng) for _ in range(n)] for p in pairs})
+
+
+def test_pure_sigma_examples():
+    rng = random.Random(71)
+    c = _symbolic_pure_cocycle(3, rng)
+    sigma = TwoCocycleSigmaPhi(c)
+    y = FreeWord(3, ((1, 1), (3, -1), (1, 1)))
+    g2 = SemidirectElement(y, parse_braid_word("s2*s1^-1", 3))
+
+    def sigma_on(braid: str) -> Angle:
+        g1 = SemidirectElement(FreeWord.identity(3), parse_braid_word(braid, 3))
+        return sigma.evaluate(g1, g2)
+
+    assert sigma_on("s1^2") == c.entry(1, 2, 1).scale(2) - c.entry(1, 2, 3)
+    assert sigma_on("s2*s1^2*s2^-1") == extend_pure(c, parse_pure_word("a(1,3)", 3), y)
+    assert sigma_on("e") == Angle.zero()
+    full_twist = SemidirectElement(FreeWord.generator(3, 2), center_z(3))
+    assert sigma.evaluate(full_twist, g2) == extend_pure(c, center_z_pure_word(3), y)
+    for braid in ("s1", "s1*s2", "s2^3"):
+        with pytest.raises(ValueError, match="braid word is not pure"):
+            sigma_on(braid)
+
+
+def test_pure_sigma_matches_rewriting():
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        c = _symbolic_pure_cocycle(n, rng)
+        b = random_pure_braid_word(n, rng.randint(0, 20), rng)
+        y = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(5)))
+        g1 = SemidirectElement(FreeWord.identity(n), b)
+        g2 = SemidirectElement(y, random_braid_word(n, 3, rng))
+        assert TwoCocycleSigmaPhi(c).evaluate(g1, g2) == extend_pure(c, rewrite_pure(b), y)
 
 
 def test_sigma_two_cocycle_identity_and_normalization():

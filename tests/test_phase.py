@@ -59,6 +59,26 @@ def test_group_laws_seeded_bulk():
         assert a + (-a) == Angle.zero()
 
 
+def test_combination_matches_repeated_sums():
+    import random
+
+    rng = random.Random(501)
+    assert Angle.combination([]) == Angle.zero()
+    th1 = Angle.symbol("th1")
+    half = Angle.rational(1, 2)
+    assert Angle.combination([(3, th1), (-3, th1), (4, half)]) == Angle.zero()
+    for _ in range(300):
+        terms = [
+            (rng.randint(-5, 5), Angle.rational(rng.randint(-8, 8), rng.randint(1, 12))
+             + Angle.symbol(rng.choice(("th1", "th2")), rng.randint(-2, 2)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        expected = Angle.zero()
+        for k, angle in terms:
+            expected = expected + angle.scale(k)
+        assert Angle.combination(terms) == expected
+
+
 def test_torsion():
     assert Angle.rational(1, 2).is_torsion
     assert not Angle.symbol("th1").is_torsion
