@@ -3,8 +3,9 @@
 A :class:`BraidWord` is a word in the generators ``s1, ..., s_{n-1}`` of the
 braid group on n strands.  Free reduction (cancelling ``s_i s_i^-1``) is
 applied eagerly on construction; no other relation is, so structural equality
-of words is *not* group equality.  Two independent oracles decide the word
-problem:
+of words is *not* group equality.  Braid and a-alphabet words are parsed and
+printed by :mod:`braidphase.freegroup`, and braid words are reduced there
+too.  Two independent oracles decide the word problem:
 
 * :func:`equal` compares the induced free-group automorphisms (the action is
   faithful), and
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import artin
 from .errors import ParseError, RankError
-from .freegroup import FreeWord, _parse_word_tokens
+from .freegroup import FreeWord, _parse_word, _reduce, _word_text
 
 __all__ = [
     "Permutation",
@@ -78,18 +78,6 @@ class Permutation:
         return len(self.image)
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int) -> Permutation:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"transposition index {i} out of range for size {n}")
-        image = list(range(1, n + 1))
-        image[i - 1], image[i] = image[i], image[i - 1]
-        return cls(tuple(image))
-
-    @classmethod
     def longest(cls, n: int) -> Permutation:
         return cls(tuple(range(n, 0, -1)))
 
@@ -113,25 +101,12 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.image, start=1))
 
-    def inversions(self) -> int:
-        img = self.image
-        return sum(
-            1
-            for a in range(len(img))
-            for b in range(a + 1, len(img))
-            if img[a] > img[b]
-        )
-
     def right_descents(self) -> set[int]:
         """Indices i with image(i) > image(i+1)."""
         return {i for i in range(1, self.size) if self.image[i - 1] > self.image[i]}
 
     def left_descents(self) -> set[int]:
         return self.inverse().right_descents()
-
-    def conjugate_by_longest(self) -> Permutation:
-        n = self.size
-        return Permutation(tuple(n + 1 - self.image[n - i] for i in range(1, n + 1)))
 
     def reduced_word(self) -> tuple[int, ...]:
         """A deterministic reduced word whose left-to-right product is self."""
@@ -148,19 +123,10 @@ class Permutation:
         return tuple(reversed(word))
 
 
-def _reduce_braid(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    stack: list[tuple[int, int]] = []
-    for i, e in letters:
-        i, e = int(i), int(e)
-        if e == 0:
-            continue
-        sign = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            if stack and stack[-1] == (i, -sign):
-                stack.pop()
-            else:
-                stack.append((i, sign))
-    return tuple(stack)
+# Unit letters a braid word may have after free reduction; past it the
+# constructor raises ParseError instead of expanding a short input such as
+# s1^1000000000.
+MAX_BRAID_LETTERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -169,7 +135,7 @@ class BraidWord:
 
     Structural equality compares words letter by letter; group equality is
     :func:`equal`.  Letters with larger exponents are accepted on input and
-    expanded to unit letters.
+    expanded to unit letters, at most :data:`MAX_BRAID_LETTERS` of them.
     """
 
     strands: int
@@ -178,13 +144,16 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise RankError(f"strand count must be positive, got {self.strands}")
-        reduced = _reduce_braid(self.letters)
-        for i, _ in reduced:
+        runs = _reduce(self.letters)
+        for i, _ in runs:
             if not 1 <= i <= self.strands - 1:
                 raise RankError(
                     f"generator s{i} out of range for {self.strands} strands"
                 )
-        object.__setattr__(self, "letters", reduced)
+        if sum(abs(e) for _, e in runs) > MAX_BRAID_LETTERS:
+            raise ParseError(f"braid word longer than {MAX_BRAID_LETTERS} letters")
+        letters = tuple([(i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e))])
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def identity(cls, strands: int) -> BraidWord:
@@ -218,15 +187,7 @@ class BraidWord:
         return BraidWord(self.strands, base.letters * abs(n))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        runs: list[tuple[int, int]] = []
-        for i, e in self.letters:
-            if runs and runs[-1][0] == i and (runs[-1][1] > 0) == (e > 0):
-                runs[-1] = (i, runs[-1][1] + e)
-            else:
-                runs.append((i, e))
-        return "*".join(f"s{i}" if e == 1 else f"s{i}^{e}" for i, e in runs)
+        return _word_text("s", _reduce(self.letters))
 
     def __repr__(self) -> str:
         return f"BraidWord({self.strands}, {str(self)!r})"
@@ -389,6 +350,16 @@ def garside_normal_form(b: BraidWord) -> GarsideForm:
 # The a_{i,j} alphabet and pure-braid rewriting
 # ---------------------------------------------------------------------------
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j) of the a_{i,j} in column order a12, a13, a23, a14, ..."""
+    return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+
+
+def _pair_index(i: int, j: int) -> int:
+    """Position of (i, j) in :func:`_pairs`, in closed form."""
+    return (j - 1) * (j - 2) // 2 + i - 1
+
+
 @dataclass(frozen=True)
 class PureWord:
     """A word in the pure-braid generators a_{i,j}, 1 <= i < j <= strands."""
@@ -442,12 +413,7 @@ class PureWord:
         return BraidWord(self.strands, tuple(letters))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return "*".join(
-            f"a({i},{j})" if e == 1 else f"a({i},{j})^{e}"
-            for (i, j), e in self.letters
-        )
+        return _word_text("a", self.letters)
 
     def __repr__(self) -> str:
         return f"PureWord({self.strands}, {str(self)!r})"
@@ -457,8 +423,7 @@ def center_z_pure_word(n: int) -> PureWord:
     """z written in the a-alphabet: a12 (a13 a23) ... (a1n ... a_{n-1,n})."""
     if n < 2:
         raise ValueError("need at least 2 strands")
-    letters = [((i, j), 1) for j in range(2, n + 1) for i in range(1, j)]
-    return PureWord(n, tuple(letters))
+    return PureWord(n, tuple((pair, 1) for pair in _pairs(n)))
 
 
 def _annular_emission(state: int, i: int, m: int) -> tuple[str, int] | None:
@@ -550,7 +515,7 @@ def linking_numbers(b: BraidWord) -> dict[tuple[int, int], int]:
     n = b.strands
     start = list(range(1, n + 1))
     strand = start.copy()  # label of the strand at each position
-    crossings = {(p, q): 0 for q in range(2, n + 1) for p in range(1, q)}
+    crossings = dict.fromkeys(_pairs(n), 0)
     for i, sign in b.letters:
         p, q = strand[i - 1], strand[i]
         crossings[(p, q) if p < q else (q, p)] += sign
@@ -591,37 +556,12 @@ def p3_image(w: PureWord) -> tuple[FreeWord, int]:
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse words like ``s1*s2^-1*s1^2`` (``e`` is the identity)."""
-    return BraidWord(strands, _parse_word_tokens(text, "s"))
+    return BraidWord(strands, _parse_word(text, "s"))
 
 
 def parse_pure_word(text: str, strands: int) -> PureWord:
     """Parse words like ``a(1,3)^-1*a(2,3)`` (``e`` is the identity)."""
-    s = text.replace(" ", "")
-    if s in ("", "e"):
-        return PureWord(strands)
-    letters: list[tuple[tuple[int, int], int]] = []
-    for token in s.split("*"):
-        if not token.startswith("a(") :
-            raise ParseError(f"cannot parse token {token!r} in word {text!r}")
-        body = token[1:]
-        exp = 1
-        if "^" in body:
-            body, exp_text = body.split("^", 1)
-            try:
-                exp = int(exp_text)
-            except ValueError as exc:
-                raise ParseError(f"bad exponent in token {token!r}") from exc
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ParseError(f"cannot parse token {token!r} in word {text!r}")
-        parts = body[1:-1].split(",")
-        if len(parts) != 2:
-            raise ParseError(f"cannot parse token {token!r} in word {text!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"cannot parse token {token!r} in word {text!r}") from exc
-        letters.append(((i, j), exp))
-    return PureWord(strands, tuple(letters))
+    return PureWord(strands, tuple(_parse_word(text, "a")))
 
 
 def random_braid_word(strands: int, length: int, rng: random.Random) -> BraidWord:

@@ -34,6 +34,8 @@ from . import artin
 from .braid import (
     BraidWord,
     PureWord,
+    _pair_index,
+    _pairs,
     center_z,
     center_z_pure_word,
     defining_relations,
@@ -42,7 +44,7 @@ from .braid import (
     pure_generator,
 )
 from .errors import MissingOmegaError, ParseError, RankError
-from .freegroup import Character, FreeWord
+from .freegroup import Character, FreeWord, _parse_token
 from .phase import Angle, parse_angle
 
 __all__ = [
@@ -281,15 +283,6 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
 # Pure-braid 1-cocycles
 # ---------------------------------------------------------------------------
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-
-
-def _pair_index(i: int, j: int) -> int:
-    """Position of (i, j) in :func:`_pairs`, in closed form."""
-    return (j - 1) * (j - 2) // 2 + i - 1
-
-
 @dataclass(frozen=True)
 class PureOneCocycle:
     """Table phi(a_{i,j}, x_k) for 1 <= i < j <= n, 1 <= k <= n.
@@ -526,8 +519,7 @@ class TabulatedOmega:
 
     def _label(self, w: PureWord) -> str:
         if len(w.letters) == 1 and w.letters[0][1] == 1:
-            (i, j), _ = w.letters[0]
-            return f"a({i},{j})"
+            return str(w)
         if w == center_z_pure_word(self.n):
             return "z"
         raise MissingOmegaError(f"no omega label for {w}")
@@ -847,20 +839,6 @@ def cocycle_to_json(c: BraidOneCocycle | PureOneCocycle) -> dict:
     return {"n": c.n, "entries": entries}
 
 
-def _parse_generator_label(label: str) -> tuple[str, tuple[int, ...]]:
-    label = label.strip()
-    if label.startswith("s") and label[1:].isdigit():
-        return "s", (int(label[1:]),)
-    if label.startswith("a(") and label.endswith(")"):
-        parts = label[2:-1].split(",")
-        if len(parts) == 2:
-            try:
-                return "a", (int(parts[0]), int(parts[1]))
-            except ValueError:
-                pass
-    raise ParseError(f"bad generator label {label!r}")
-
-
 def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
     """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels.
     A braid table must pass :func:`validate_braid_cocycle`."""
@@ -874,24 +852,20 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
     for item in raw_entries:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ParseError(f"bad entry {item!r}")
-        kind, index = _parse_generator_label(str(item[0]))
-        xlabel = str(item[1]).strip()
-        if not (xlabel.startswith("x") and xlabel[1:].isdigit()):
-            raise ParseError(f"bad free-generator label {item[1]!r}")
-        k = int(xlabel[1:])
+        index, _ = _parse_token(str(item[0]).strip(), "sa", power=False)
+        k, _ = _parse_token(str(item[1]).strip(), "x", power=False)
         if not 1 <= k <= n:
-            raise ParseError(f"free generator {xlabel} out of range")
+            raise ParseError(f"free generator x{k} out of range")
         value = parse_angle(str(item[2]))
-        if kind == "s":
-            (i,) = index
-            if not 1 <= i <= n - 1:
-                raise ParseError(f"braid generator s{i} out of range")
-            braid_rows.setdefault(i, {})[k] = value
+        if isinstance(index, int):
+            if not 1 <= index <= n - 1:
+                raise ParseError(f"braid generator s{index} out of range")
+            braid_rows.setdefault(index, {})[k] = value
         else:
             i, j = index
             if not 1 <= i < j <= n:
                 raise ParseError(f"pure generator a({i},{j}) out of range")
-            pure_rows.setdefault((i, j), {})[k] = value
+            pure_rows.setdefault(index, {})[k] = value
     if braid_rows and pure_rows:
         raise ParseError("document mixes braid and pure generator labels")
     if braid_rows:
@@ -923,8 +897,8 @@ def omega_from_json(doc: Mapping, n: int) -> TabulatedOmega:
         left, right = str(item[0]).strip(), str(item[1]).strip()
         for label in (left, right):
             if label != "z":
-                kind, index = _parse_generator_label(label)
-                if kind != "a" or not 1 <= index[0] < index[1] <= n:
+                (i, j), _ = _parse_token(label, "a", power=False)
+                if not 1 <= i < j <= n:
                     raise ParseError(f"bad omega label {label!r}")
         values[(left, right)] = parse_angle(str(item[2]))
     return TabulatedOmega(n, values)

@@ -5,6 +5,11 @@ and kept fully reduced, so structural equality coincides with equality in the
 group and equality tests are linear in the word length.  Generators are
 1-based: ``x1, ..., xn``.  Every word carries its rank and binary operations
 check ranks; promotion to a bigger rank is always explicit.
+
+The module also owns the word syntax of all three alphabets the package
+uses, the free generators ``x<k>``, Artin's generators ``s<i>`` and the pure
+generators ``a(i,j)``: one token grammar reads words and cocycle labels, one
+printer writes words, and :func:`_reduce` is the one free reduction.
 """
 
 from __future__ import annotations
@@ -111,36 +116,52 @@ class FreeWord:
         return FreeWord(rank, self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return "*".join(
-            f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in self.letters
-        )
+        return _word_text("x", self.letters)
 
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {str(self)!r})"
 
 
-_WORD_TOKEN_RE = re.compile(r"([A-Za-z]+)(\d+)(?:\^(-?\d+))?\Z")
+# One token: a letter with its index (x<k>, s<i> or a(i,j)) and an optional
+# exponent ^k.  int() reads each number, so an exponent may carry a sign
+# (^+2, ^-1) and an index of a(i,j) may have whitespace around it.
+_TOKEN_RE = re.compile(r"(?:([sx])(\d+)|(a)\(([^,()]*),([^,()]*)\))(?:\^(.*))?", re.DOTALL)
 
 
-def _parse_word_tokens(text: str, letter: str) -> list[tuple[int, int]]:
+def _parse_token(token: str, letter: str, power: bool = True):
+    """One letter of an alphabet named in ``letter`` ("x", "s", "a" or "sa") as
+    (index, exponent); the index of ``a(i,j)`` is the pair (i, j).  Without
+    ``power`` an exponent is refused, as in cocycle labels."""
+    m = _TOKEN_RE.fullmatch(token)
+    if m is None or (m[1] or m[3]) not in letter or (m[6] is not None and not power):
+        raise ParseError(f"cannot parse token {token!r}")
+    try:
+        index = int(m[2]) if m[2] is not None else (int(m[4]), int(m[5]))
+        return index, 1 if m[6] is None else int(m[6])
+    except ValueError:
+        raise ParseError(f"cannot parse token {token!r}") from None
+
+
+def _parse_word(text: str, letter: str) -> list:
+    """The tokens of a ``*``-joined word; spaces are dropped and ``e`` is the identity."""
     s = text.replace(" ", "")
     if s in ("", "e"):
         return []
-    letters: list[tuple[int, int]] = []
-    for token in s.split("*"):
-        m = _WORD_TOKEN_RE.match(token)
-        if m is None or m.group(1) != letter:
-            raise ParseError(f"cannot parse token {token!r} in word {text!r}")
-        exp = int(m.group(3)) if m.group(3) is not None else 1
-        letters.append((int(m.group(2)), exp))
-    return letters
+    return [_parse_token(token, letter) for token in s.split("*")]
+
+
+def _word_text(letter: str, runs) -> str:
+    """Print (index, exponent) runs as a word of the given alphabet."""
+    if not runs:
+        return "e"
+    if letter == "a":
+        runs = [(f"({i},{j})", e) for (i, j), e in runs]
+    return "*".join(f"{letter}{i}" if e == 1 else f"{letter}{i}^{e}" for i, e in runs)
 
 
 def parse_free_word(text: str, rank: int) -> FreeWord:
     """Parse words like ``x1*x2^-1*x1^2`` (``e`` is the identity)."""
-    return FreeWord(rank, _parse_word_tokens(text, "x"))
+    return FreeWord(rank, _parse_word(text, "x"))
 
 
 def iter_reduced_words(rank: int, max_length: int) -> Iterator[FreeWord]:

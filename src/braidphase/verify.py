@@ -20,6 +20,7 @@ from typing import Callable
 from .artin import artin_auto, equal_auto
 from .braid import (
     BraidWord,
+    _pairs,
     center_z,
     center_z_pure_word,
     defining_relations,
@@ -320,8 +321,7 @@ def sigma_identity(rng: random.Random, *, n: int) -> str | None:
 def pure_sigma_linking(rng: random.Random, *, n: int) -> str | None:
     """Pure sigma, evaluated through linking numbers, against the value on
     the rewritten a-alphabet word, on 20 pure words of length 16."""
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    c = build_pure_cocycle(n, {p: [random_angle(rng) for _ in range(n)] for p in pairs})
+    c = build_pure_cocycle(n, {p: [random_angle(rng) for _ in range(n)] for p in _pairs(n)})
     sigma = TwoCocycleSigmaPhi(c)
     for _ in range(20):
         b = random_pure_braid_word(n, 16, rng)

@@ -256,6 +256,7 @@ def test_p3_image_is_homomorphism():
 def test_braid_word_parsing():
     for text in ("e", "s1", "s1*s2^-1*s1^2", "s3^-2"):
         assert str(parse_braid_word(text, 4)) == text
+    assert parse_braid_word("s1^+2 * s2", 3) == parse_braid_word("s1^2*s2", 3)
     with pytest.raises(ParseError):
         parse_braid_word("t1", 3)
     with pytest.raises(RankError):
@@ -265,6 +266,7 @@ def test_braid_word_parsing():
 def test_pure_word_parsing():
     for text in ("e", "a(1,3)^-1*a(2,3)", "a(1,2)^2"):
         assert str(parse_pure_word(text, 3)) == text
+    assert parse_pure_word("a( 1 , 3 )^+2", 3) == parse_pure_word("a(1,3)^2", 3)
     with pytest.raises(ParseError):
         parse_pure_word("a(1;2)", 3)
     with pytest.raises(RankError):
@@ -276,3 +278,7 @@ def test_free_reduction_on_construction():
     w = BraidWord(3, ((1, 1), (1, -1), (2, 1)))
     assert w == parse_braid_word("s2", 3)
     assert parse_braid_word("s1^3", 2).letters == ((1, 1), (1, 1), (1, 1))
+    # runs cancel before they are expanded; a longer word than the cap is refused
+    assert BraidWord(2, ((1, 10**9), (1, -10**9))).letters == ()
+    with pytest.raises(ParseError):
+        BraidWord(3, ((1, 10**9),))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidphase.cli import main
 
@@ -57,6 +63,14 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "b0rk")[0] == 2
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "s7")[0] == 3
     assert run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s1", "s4")[0] == 3
+
+
+def test_oversized_braid_word_fails_fast(capsys):
+    start = time.perf_counter()
+    assert main(["normalize", "--group", "bn", "--n", "3", "s1^1000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
 
 
 def test_equal(capsys):
@@ -241,6 +255,8 @@ def test_cocycle_classify_rejects_invalid_table(tmp_path, capsys):
         ("pn", {"n": 3, "entries": [5]}),
         ("mackey", {"n": 3, "entries": [["a(1,2)", "x1", "1/2"]], "omega": 5}),
         ("mackey", {"n": 3, "entries": [["a(1,2)", "x1", "1/2"]], "omega": [5]}),
+        ("bn", {"n": 3, "entries": [["s\u00b2", "x1", "0"]]}),
+        ("bn", {"n": 3, "entries": [["s1", "x\u00b2", "0"]]}),
     ],
 )
 def test_verdict_malformed_entries(tmp_path, capsys, family, doc):
@@ -255,3 +271,71 @@ def test_verdict_table_with_too_few_strands(tmp_path, capsys):
     tiny.write_text(json.dumps({"n": 0, "entries": []}))
     assert main(["verdict", "--cocycle", str(tiny), "--family", "pn"]) == 3
     assert capsys.readouterr().err.startswith("rank error:")
+
+
+# Tokens near the word grammar: letters of every alphabet and a stray one,
+# indices in and out of range, well-formed and broken exponents.  Exponents
+# stay small or pass the braid letter cap: a braid word of some 10^5 letters
+# would parse and then spend seconds in Garside.  act and the action oracle
+# are left out, their cost grows exponentially with the word.
+_INDICES = st.one_of(
+    st.integers(-1, 13).map(str),
+    st.tuples(st.integers(-1, 13), st.integers(-1, 13)).map(lambda p: f"({p[0]}, {p[1]})"),
+    st.text(max_size=3),
+)
+_EXPONENTS = st.one_of(
+    st.just(""),
+    st.integers(-3, 3).map(lambda k: f"^{k}"),
+    st.sampled_from(["^+2", "^10000000000", "^", "^x", "^1.5", "\u00b2"]),
+)
+_TOKENS = st.builds(
+    lambda letter, index, exp: letter + index + exp,
+    st.sampled_from(["s", "x", "a", "t", ""]),
+    _INDICES,
+    _EXPONENTS,
+)
+_TEXT = st.one_of(st.text(max_size=12), st.lists(_TOKENS, max_size=6).map("*".join))
+_ANGLES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["0", "1/3 + 2*th1", "-th2", "1/0", "2*", "th1*2", "1/2/3"]),
+)
+_LABELS = st.one_of(
+    st.sampled_from(["s1", "s2", "a(1,2)", " a( 1 , 3 ) ", "s\u00b2", "x\u00b2", "z"]),
+    st.builds(str.__add__, st.sampled_from(["s", "x", "a"]), _INDICES),
+    _TEXT,
+)
+_ENTRIES = st.lists(
+    st.tuples(_LABELS, st.one_of(st.integers(0, 13).map("x{}".format), _LABELS), _ANGLES),
+    max_size=3,
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    word=_TEXT,
+    other=_TEXT,
+    angle=_ANGLES,
+    entries=_ENTRIES,
+    family=st.sampled_from(["bn", "pn", "an", "mackey"]),
+)
+def test_cli_fuzz_exits_with_documented_code(n, word, other, angle, entries, family):
+    omega = [[label, "z", value] for label, _, value in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": n, "entries": entries, "omega": omega}, fh)
+        calls = [
+            ["normalize", "--group", "bn", "--n", str(n), "--", word],
+            ["normalize", "--group", "fn", "--n", str(n), "--", word],
+            ["equal", "--group", "bn", "--n", str(n), "--oracle", "garside", "--", word, other],
+            ["rewrite-pure", "--n", str(n), "--", word],
+            ["cocycle-build", "--n", str(n), f"--mu1={angle}"],
+            ["verdict", "--cocycle", path, "--family", family],
+        ]
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(argv)
+            assert code in (0, 1, 2, 3, 4), argv

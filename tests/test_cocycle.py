@@ -756,6 +756,9 @@ def test_json_roundtrip_pure():
         3, {(1, 2): [TH1, Angle.zero(), Angle.rational(1, 4)]}
     )
     assert cocycle_from_json(cocycle_to_json(c)) == c
+    # labels may carry whitespace, also inside a(i,j)
+    spaced = [["a( 1 , 2 )", " x1", "th1"], ["a(1,2)", "x3 ", "1/4"]]
+    assert cocycle_from_json({"n": 3, "entries": spaced}) == c
 
 
 def test_json_spec_shape():

@@ -138,3 +138,4 @@ def test_orbit_probe_requires_positive_bound():
 def test_parse_print_roundtrip():
     for text in ("e", "x1", "x1*x2^-1*x1^2", "x2^-3"):
         assert str(parse_free_word(text, 3)) == text
+    assert str(parse_free_word("x1^+2 * x3^10000000000", 3)) == "x1^2*x3^10000000000"
