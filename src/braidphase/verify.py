@@ -227,6 +227,39 @@ def classification(rng: random.Random, *, n: int, samples: int) -> str | None:
     return None
 
 
+def cocycle_extension(rng: random.Random, *, n: int, samples: int) -> str | None:
+    """The relation families against extension on both sides of every
+    defining relation at every x_k.  Samples cycle through valid tables,
+    tables with one entry bumped, tables with an off-band entry bumped
+    together with every entry rel1 and rel3 tie to it (so only rel4 can
+    tell), and arbitrary tables."""
+    relations = defining_relations(n)
+    xs = [FreeWord.generator(n, k) for k in range(1, n + 1)]
+    for t in range(samples):
+        rows = [list(row) for row in random_braid_cocycle(n, rng).table]
+        if rng.random() < 0.5:
+            bump = Angle.rational(rng.randint(1, 7), 8)
+        else:
+            bump = Angle.symbol("bump", rng.choice((1, -1)))
+        if t % 4 == 1:
+            rows[rng.randrange(n - 1)][rng.randrange(n)] += bump
+        elif t % 4 == 2 and n >= 3:
+            k = rng.randint(3, n)  # column k above the band, column k-2 below it
+            for i in range(1, n):
+                rows[i - 1][k - 1 if i <= k - 2 else k - 3] += bump
+        elif t % 4 == 3:
+            rows = [[random_angle(rng) for _ in range(n)] for _ in range(n - 1)]
+        c = BraidOneCocycle(n, tuple(tuple(row) for row in rows))
+        agrees = all(
+            extend(c, u, x) == extend(c, v, x) for _, _, u, v in relations for x in xs
+        )
+        if validate_braid_cocycle(c).ok != agrees:
+            table = [[str(value) for value in row] for row in c.table]
+            side = "accepts" if agrees else "rejects"
+            return f"extension {side}, the relation families do not: {table}"
+    return None
+
+
 def z_relation(rng: random.Random, *, n: int, samples: int) -> str | None:
     full = _full_word(n)
     z = center_z(n)
@@ -425,6 +458,9 @@ REGISTRY = (
     ("cocycle-classification.n{n}", "cocycle",
      "tables are valid and classified by (mu1, mu2) up to coboundary",
      classification, _sizes(2, 5, samples=25)),
+    ("cocycle-extension.n{n}", "cocycle",
+     "the relation families hold exactly when extension agrees on every defining relation",
+     cocycle_extension, _sizes(2, 6, samples=20)),
     ("z-relation.n{n}", "cocycle",
      "phi(z, x_i) = mu = (n-1) phi(s_j, x1...xn)",
      z_relation, _sizes(3, 5, samples=15)),

@@ -181,6 +181,45 @@ def test_verdict_mackey_missing_omega(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "NotFactor"
 
 
+@pytest.mark.parametrize("spelling", ["a( {i} , {j} )", "a(0{i},{j})"])
+def test_verdict_mackey_omega_label_spellings(tmp_path, capsys, spelling):
+    entries = [["a(1,2)", "x1", "1/2"]]
+    pairs = [(1, 2), (1, 3), (2, 3)]
+
+    def verdict(label: str) -> tuple[int, str]:
+        omega = [[label.format(i=i, j=j), "z", f"{i}/{j + 4} + th1"] for i, j in pairs]
+        omega += [["z", label.format(i=i, j=j), f"{j}/{i + 6}"] for i, j in pairs]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"n": 3, "entries": entries, "omega": omega}))
+        return run_cli(capsys, "verdict", "--cocycle", str(path), "--family", "mackey")
+
+    canonical = verdict("a({i},{j})")
+    assert canonical[0] == 0 and json.loads(canonical[1])["verdict"] == "Indeterminate"
+    assert verdict(spelling) == canonical
+
+
+def test_cocycle_build_restrict_to_pure(capsys):
+    code, out = run_cli(
+        capsys, "cocycle-build", "--n", "4", "--mu1", "th1", "--mu2", "1/3",
+        "--diag", "1/5,th2,0", "--restrict-to-pure",
+    )
+    assert code == 0
+    rows = {
+        "a(1,2)": "th1 th1 2/3 2/3",
+        "a(1,3)": "th1 2/3 th1 2/3",
+        "a(2,3)": "2/3 th1 th1 2/3",
+        "a(1,4)": "th1 2/3 2/3 th1",
+        "a(2,4)": "2/3 th1 2/3 th1",
+        "a(3,4)": "2/3 2/3 th1 th1",
+    }
+    entries = [
+        [label, f"x{k}", value]
+        for label, values in rows.items()
+        for k, value in enumerate(values.split(), start=1)
+    ]
+    assert json.loads(out) == {"n": 4, "entries": entries}
+
+
 def test_verdict_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,7 +1,9 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,7 +90,7 @@ def test_validator_accepts_constructor_output():
     for n in (2, 3, 4, 5):
         for _ in range(20):
             report = validate_braid_cocycle(random_braid_cocycle(n, rng))
-            assert report.ok, (report.relation_violations, report.extension_violations)
+            assert report.ok, report.relation_violations
 
 
 def test_validator_flags_rel1():
@@ -412,6 +414,40 @@ def test_restrict_to_pure():
         z = center_z(n)
         for k in range(1, n + 1):
             assert nu(p, k) == extend(c, z, FreeWord.generator(n, k))
+
+
+def _three_symbol_table(n: int) -> BraidOneCocycle:
+    return build_braid_cocycle(
+        n,
+        mu1=TH1 + Angle.rational(1, 3),
+        mu2=Angle.symbol("th2", -1) + Angle.rational(2, 5),
+        diag=[Angle.symbol("th3", i) + Angle.rational(i, 7) for i in range(1, n)],
+    )
+
+
+def _arbitrary_table(n: int) -> BraidOneCocycle:
+    return BraidOneCocycle(n, tuple(
+        tuple(
+            Angle.rational(3 * i + j, 11)
+            + Angle.symbol("th1", (i - j) % 3 - 1)
+            + Angle.symbol("th2", i * j % 2)
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n)
+    ))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("name, make, valid", [
+    ("valid", _three_symbol_table, True),
+    ("arbitrary", _arbitrary_table, False),
+])
+def test_restrict_to_pure_golden(n, name, make, valid):
+    """Every entry against values recorded from extend on each a(i,j)."""
+    golden = json.loads((Path(__file__).parent / "data" / "restrict_to_pure.json").read_text())
+    c = make(n)
+    assert validate_braid_cocycle(c).ok is valid
+    assert [[str(v) for v in row] for row in restrict_to_pure(c).rows] == golden[f"{name}.n{n}"]
 
 
 def test_restricted_cocycle_matches_extension_on_pure_words():
