@@ -11,10 +11,16 @@ and the action extends to braid words so that ``auto(a) . auto(b) = auto(ab)``
 (left action).  This matches the semidirect-product convention
 ``(x, a)(y, b) = (x * a(y), ab)`` used in :mod:`braidphase.cocycle`.
 
-Worked n = 2 example: for the word ``s*s`` the automorphism is built as
-``auto(s) . auto(s)``, so ``x1 -> auto(s)(x2) = x2^-1*x1*x2`` and
-``x2 -> auto(s)(x2^-1*x1*x2) = (x1*x2)^-1 * x2 * (x1*x2)``; both images are
-conjugation by ``x1*x2``, as direct substitution confirms.
+:func:`artin_auto` reads a word left to right and right-multiplies the
+automorphism built so far, recorded by its generator images ``A_1..A_n``,
+by each letter.  A letter rewrites two images and leaves the others alone:
+``s_i`` sets ``A_i, A_{i+1} := A_{i+1}, A_{i+1}^-1 A_i A_{i+1}`` and
+``s_i^-1`` sets ``A_i, A_{i+1} := A_i A_{i+1} A_i^-1, A_i``.
+
+Worked n = 2 example: for the word ``s1*s1`` the first letter gives
+``(x2, x2^-1*x1*x2)`` and the second gives ``x1 -> x2^-1*x1*x2`` and
+``x2 -> (x2^-1*x1*x2)^-1 * x2 * (x2^-1*x1*x2) = x2^-1*x1^-1*x2*x1*x2``; both
+images are conjugation by ``x1*x2``, as direct substitution confirms.
 
 The action is faithful, which is what makes comparing generator images a
 sound equality oracle for braid words.
@@ -31,14 +37,7 @@ from .freegroup import FreeWord
 if TYPE_CHECKING:  # pragma: no cover
     from .braid import BraidWord
 
-__all__ = [
-    "FreeAutomorphism",
-    "artin_generator",
-    "artin_auto",
-    "compose",
-    "equal_auto",
-    "is_inner_for_pure",
-]
+__all__ = ["FreeAutomorphism", "artin_auto", "is_inner_for_pure"]
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class FreeAutomorphism:
             if w.rank != self.rank:
                 raise RankError("image rank does not match automorphism rank")
 
-    @classmethod
-    def identity(cls, rank: int) -> FreeAutomorphism:
-        return cls(rank, tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1)))
-
     def __call__(self, word: FreeWord) -> FreeWord:
         """Apply the automorphism: substitute generator images and reduce."""
         if word.rank != self.rank:
@@ -72,41 +67,25 @@ class FreeAutomorphism:
         return FreeWord(self.rank, raw)
 
 
-def artin_generator(i: int, n: int, sign: int = 1) -> FreeAutomorphism:
-    """The automorphism of F_n induced by s_i (sign=-1 gives its inverse)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    images = [FreeWord.generator(n, j) for j in range(1, n + 1)]
-    if sign == 1:
-        images[i - 1] = FreeWord.generator(n, i + 1)
-        images[i] = FreeWord(n, ((i + 1, -1), (i, 1), (i + 1, 1)))
-    else:
-        images[i - 1] = FreeWord(n, ((i, 1), (i + 1, 1), (i, -1)))
-        images[i] = FreeWord.generator(n, i)
-    return FreeAutomorphism(n, tuple(images))
-
-
-def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
-    """The automorphism w -> phi(psi(w))."""
-    if phi.rank != psi.rank:
-        raise RankError(f"rank mismatch: {phi.rank} vs {psi.rank}")
-    return FreeAutomorphism(phi.rank, tuple(phi(w) for w in psi.images))
-
-
-def equal_auto(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:
-    if phi.rank != psi.rank:
-        raise RankError(f"rank mismatch: {phi.rank} vs {psi.rank}")
-    return phi.images == psi.images
+def _times_generator(images: list[FreeWord], i: int, sign: int) -> None:
+    """Right-multiply the automorphism with these generator images by s_i^sign,
+    in place.  Only the images of x_i and x_{i+1} change."""
+    a, b = images[i - 1], images[i]
+    if sign == 1:  # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
+        images[i - 1] = b
+        images[i] = FreeWord(b.rank, b.inverse().letters + a.letters + b.letters)
+    else:  # x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
+        images[i - 1] = FreeWord(a.rank, a.letters + b.letters + a.inverse().letters)
+        images[i] = a
 
 
 def artin_auto(b: BraidWord) -> FreeAutomorphism:
     """The automorphism of F_n induced by a braid word on n strands."""
-    acc = FreeAutomorphism.identity(b.strands)
+    n = b.strands
+    images = [FreeWord.generator(n, j) for j in range(1, n + 1)]
     for i, sign in b.letters:
-        acc = compose(acc, artin_generator(i, b.strands, sign))
-    return acc
+        _times_generator(images, i, sign)
+    return FreeAutomorphism(n, tuple(images))
 
 
 def _minimal_conjugator(word: FreeWord, index: int) -> FreeWord | None:

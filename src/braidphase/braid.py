@@ -461,7 +461,7 @@ def _annular_split(b: BraidWord) -> tuple[FreeWord, BraidWord]:
     m = b.strands
     free = FreeWord.identity(m - 1)
     braid_letters: list[tuple[int, int]] = []
-    auto = artin.FreeAutomorphism.identity(m - 1)
+    images = [FreeWord.generator(m - 1, j) for j in range(1, m)]
     state = m
     for i, sign in b.letters:
         swapped = state
@@ -474,11 +474,11 @@ def _annular_split(b: BraidWord) -> tuple[FreeWord, BraidWord]:
         if emission is not None:
             kind, idx = emission
             if kind == "free":
-                image = auto.images[idx - 1]
+                image = images[idx - 1]
                 free = free * (image if sign == 1 else image.inverse())
             else:
                 braid_letters.append((idx, sign))
-                auto = artin.compose(auto, artin.artin_generator(idx, m - 1, sign))
+                artin._times_generator(images, idx, sign)
         state = swapped
     return free, BraidWord(m - 1, tuple(braid_letters))
 
@@ -492,6 +492,11 @@ def rewrite_pure(b: BraidWord) -> PureWord:
     that strand forgotten.  Expanding the result yields a braid equal to the
     input (checked by the equality oracle in the test suite), not necessarily
     the same word.
+
+    The output can be exponentially longer than the input: the free parts
+    are read off the action of the remaining braid, whose images grow
+    exponentially in the word length L (one measured n = 4 word of 86
+    letters combs to 18,598 letters).
     """
     if not is_pure(b):
         raise ValueError("braid word is not pure")

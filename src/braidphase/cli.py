@@ -12,7 +12,8 @@ Subcommands:
 * ``verify``          run the seeded identity-verification suites
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including a
-braid cocycle table that fails validation), 3 rank or strand mismatch
+braid cocycle table that fails validation and a file that cannot be read or
+written: missing, a directory, or not UTF-8), 3 rank or strand mismatch
 (including a non-positive strand count and ``verify --max-n`` below 2), 4
 missing external cocycle data.
 
@@ -228,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RankError as exc:

@@ -406,13 +406,6 @@ class SemidirectElement:
         binv = self.braid.inverse()
         return SemidirectElement(artin.artin_auto(binv)(self.free.inverse()), binv)
 
-    def __pow__(self, k: int) -> SemidirectElement:
-        out = SemidirectElement.identity(self.n)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def conjugated_by_free(self, x: FreeWord) -> SemidirectElement:
         """(x, e) * self * (x, e)^-1; the braid component is unchanged."""
         acted = artin.artin_auto(self.braid)(x.inverse())

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .artin import artin_auto, equal_auto
+from .artin import artin_auto
 from .braid import (
     BraidWord,
     _pairs,
@@ -83,7 +83,7 @@ def _generators(n: int) -> list[SemidirectElement]:
 
 def artin_relations(rng: random.Random | None = None, *, n: int) -> str | None:
     for kind, where, u, v in defining_relations(n):
-        if not equal_auto(artin_auto(u), artin_auto(v)):
+        if artin_auto(u) != artin_auto(v):
             return f"{kind}[{where}] fails under the action"
     return None
 

@@ -2,14 +2,7 @@ import random
 
 import pytest
 
-from braidphase.artin import (
-    FreeAutomorphism,
-    artin_auto,
-    artin_generator,
-    compose,
-    equal_auto,
-    is_inner_for_pure,
-)
+from braidphase.artin import FreeAutomorphism, artin_auto, is_inner_for_pure
 from braidphase.braid import (
     BraidWord,
     center_z,
@@ -25,32 +18,56 @@ def full_word(n: int) -> FreeWord:
     return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
 
 
+def generator_images(n: int, i: int, sign: int) -> list[FreeWord]:
+    """The images of x_1..x_n under s_i^sign, as the README states them."""
+    texts = [f"x{j}" for j in range(1, n + 1)]
+    if sign == 1:
+        texts[i - 1], texts[i] = f"x{i + 1}", f"x{i + 1}^-1*x{i}*x{i + 1}"
+    else:
+        texts[i - 1], texts[i] = f"x{i}*x{i + 1}*x{i}^-1", f"x{i}"
+    return [parse_free_word(t, n) for t in texts]
+
+
+def substitute(b: BraidWord, word: FreeWord) -> FreeWord:
+    """Reference for artin_auto(b)(word): substitute the generator formulas
+    into the one word, for the letters of b from right to left."""
+    n = b.strands
+    for i, sign in reversed(b.letters):
+        word = FreeAutomorphism(n, tuple(generator_images(n, i, sign)))(word)
+    return word
+
+
 def test_generator_images():
-    a = artin_generator(1, 3)
-    assert a.images[0] == parse_free_word("x2", 3)
-    assert a.images[1] == parse_free_word("x2^-1*x1*x2", 3)
-    assert a.images[2] == parse_free_word("x3", 3)
-    inv = artin_generator(1, 3, -1)
-    assert equal_auto(compose(a, inv), FreeAutomorphism.identity(3))
-    assert inv(parse_free_word("x2", 3)) == parse_free_word("x1", 3)
+    for n in range(2, 7):
+        for i in range(1, n):
+            for sign in (1, -1):
+                auto = artin_auto(BraidWord(n, ((i, sign),)))
+                assert list(auto.images) == generator_images(n, i, sign)
+                back = artin_auto(BraidWord(n, ((i, -sign),)))
+                for j in range(1, n + 1):
+                    x = FreeWord.generator(n, j)
+                    assert back(auto(x)) == x
 
 
 def test_apply():
-    ident = FreeAutomorphism.identity(3)
+    ident = artin_auto(BraidWord.identity(3))
     w = parse_free_word("x1*x3^-2", 3)
     assert ident(w) == w
-    a = artin_generator(1, 2)
+    a = artin_auto(parse_braid_word("s1", 2))
     assert a(parse_free_word("x1*x2", 2)) == parse_free_word("x1*x2", 2)
     with pytest.raises(RankError):
         a(parse_free_word("x1", 3))
 
 
-def test_compose_and_equal():
-    s1 = artin_generator(1, 3)
-    assert equal_auto(compose(s1, FreeAutomorphism.identity(3)), s1)
+def test_identity_and_equal():
+    for n in range(1, 5):
+        gens = tuple(FreeWord.generator(n, j) for j in range(1, n + 1))
+        assert artin_auto(BraidWord.identity(n)) == FreeAutomorphism(n, gens)
     lhs = artin_auto(parse_braid_word("s1*s2*s1", 3))
     rhs = artin_auto(parse_braid_word("s2*s1*s2", 3))
-    assert equal_auto(lhs, rhs)
+    assert lhs == rhs
+    assert artin_auto(parse_braid_word("s1", 3)) != artin_auto(parse_braid_word("s2", 3))
+    assert artin_auto(BraidWord.identity(2)) != artin_auto(BraidWord.identity(3))
 
 
 def test_artin_auto_is_homomorphism():
@@ -59,7 +76,11 @@ def test_artin_auto_is_homomorphism():
         n = rng.randint(2, 5)
         a = random_braid_word(n, rng.randint(0, 8), rng)
         b = random_braid_word(n, rng.randint(0, 8), rng)
-        assert equal_auto(artin_auto(a * b), compose(artin_auto(a), artin_auto(b)))
+        w = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
+        auto_a, auto_b, auto_ab = artin_auto(a), artin_auto(b), artin_auto(a * b)
+        assert auto_ab(w) == auto_a(auto_b(w)) == substitute(a * b, w)
+        for j in range(1, n + 1):
+            assert auto_b.images[j - 1] == substitute(b, FreeWord.generator(n, j))
 
 
 def test_relation_kernel():
@@ -67,12 +88,12 @@ def test_relation_kernel():
         for i in range(1, n - 1):
             u = BraidWord(n, ((i, 1), (i + 1, 1), (i, 1)))
             v = BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1)))
-            assert equal_auto(artin_auto(u), artin_auto(v))
+            assert artin_auto(u) == artin_auto(v)
         for i in range(1, n):
             for j in range(i + 2, n):
                 u = BraidWord(n, ((i, 1), (j, 1)))
                 v = BraidWord(n, ((j, 1), (i, 1)))
-                assert equal_auto(artin_auto(u), artin_auto(v))
+                assert artin_auto(u) == artin_auto(v)
 
 
 def test_preserves_product_of_generators():

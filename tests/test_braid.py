@@ -179,6 +179,51 @@ def test_rewrite_pure_roundtrip():
         assert equal(aw.expand(), w)
 
 
+# Pinned output of rewrite_pure on the pure words
+# random_pure_braid_word(n, 40, random.Random(n)): the rewrite is deterministic,
+# and these strings hold its exact letters, not only its value in the group.
+REWRITE_GOLDEN = [
+    (
+        4,
+        's1^-2*s2*s3^-1*s1*s3^-1*s2*s3^-1*s2*s1^-1*s2^-2*s1^-2*s2^-1*s3^-1*'
+        's2^-1*s1*s2^-1*s3^-3',
+        'a(3,4)^-1*a(1,4)*a(2,4)^-1*a(1,4)^-1*a(2,4)*a(1,4)^-1*a(3,4)^-1*'
+        'a(1,4)*a(3,4)^-1*a(1,4)*a(2,4)^-1*a(1,4)^-1*a(1,3)*a(2,3)^-1*'
+        'a(1,3)^-1*a(1,2)^-1',
+    ),
+    (
+        5,
+        's3^-1*s1^-1*s2^2*s3^-1*s2^-1*s1^2*s4^-1*s1*s2^2*s3^-1*s2^2*s4^-1*'
+        's1^-1*s4*s2^-1*s1^-1*s3*s4^-1*s1*s2*s3*s4*s3*s1',
+        'a(4,5)^-1*a(3,5)^-1*a(2,5)^-1*a(3,5)*a(4,5)*a(3,5)^-1*a(4,5)^-1*'
+        'a(3,5)^-1*a(2,5)^-1*a(3,5)*a(4,5)*a(3,5)*a(4,5)^-1*a(3,5)^-1*a(2,5)*'
+        'a(3,5)*a(4,5)*a(3,5)*a(4,5)^-1*a(3,5)^-1*a(1,5)^-1*a(3,5)*a(4,5)^-1*'
+        'a(3,5)^-1*a(1,5)^-1*a(3,5)*a(4,5)*a(3,5)^-1*a(1,5)*a(3,5)*a(4,5)*'
+        'a(3,5)^-1*a(4,5)^-1*a(3,5)^-1*a(2,5)^-1*a(3,5)*a(4,5)*a(3,5)^-1*'
+        'a(4,5)^-1*a(3,5)^-1*a(2,5)*a(3,5)*a(4,5)*a(3,5)*a(4,5)^-1*a(3,5)^-1*'
+        'a(2,5)*a(3,5)*a(4,5)*a(3,5)*a(4,5)^-1*a(3,5)^-1*a(1,5)^-1*a(3,5)*'
+        'a(4,5)^-1*a(3,5)^-1*a(1,5)*a(3,5)*a(4,5)*a(3,5)^-1*a(1,5)*a(3,5)*'
+        'a(4,5)*a(3,5)^-1*a(4,5)^-1*a(3,5)^-1*a(2,5)^-1*a(3,5)*a(4,5)*'
+        'a(3,5)^-1*a(4,5)^-1*a(3,5)^-1*a(2,5)*a(3,5)*a(4,5)*a(3,5)*a(4,5)^-1*'
+        'a(3,5)^-1*a(2,5)*a(3,5)*a(4,5)*a(3,4)^-1*a(1,4)*a(2,3)*a(1,3)^-1*'
+        'a(2,3)^-1*a(1,3)*a(2,3)*a(1,2)',
+    ),
+    (
+        6,
+        's5*s4^-1*s1*s2^-1*s3^-1*s1^-1*s4^2*s2^-1*s5*s4^-1*s1^-1*s2^-1*s1*s5*'
+        's3^-1*s2*s3*s5^-1*s3^-1*s5*s3*s4*s5*s2*s3*s4*s3*s2*s1',
+        'a(5,6)*a(4,5)^-1*a(2,5)^-1*a(1,5)^-1*a(2,5)*a(4,5)*a(2,5)^-1*a(1,5)*'
+        'a(2,5)*a(4,5)*a(2,4)^-1*a(1,4)^2*a(2,4)*a(2,3)^-1*a(1,3)^-1*a(2,3)^-1*'
+        'a(1,3)*a(2,3)*a(1,2)',
+    ),
+]
+
+
+def test_rewrite_pure_golden():
+    for n, word, expected in REWRITE_GOLDEN:
+        assert str(rewrite_pure(parse_braid_word(word, n))) == expected
+
+
 def _exponent_sums(w: PureWord) -> dict[tuple[int, int], int]:
     n = w.strands
     sums = {(p, q): 0 for q in range(2, n + 1) for p in range(1, q)}

@@ -228,6 +228,23 @@ def test_verdict_bad_file(tmp_path, capsys):
         run_cli(capsys, "verdict", "--cocycle", str(tmp_path / "nope.json"), "--family", "bn")[0]
         == 2
     )
+    # a directory, a file that is not UTF-8 and an unwritable output path end
+    # in one parse-error line and exit 2, not a traceback
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"n": 2, "entries": [["s1", "x1", "\xe9"]]}')
+    good = tmp_path / "good.json"
+    assert run_cli(capsys, "cocycle-build", "--n", "2", "--mu1", "0", "-o", str(good))[0] == 0
+    for argv in (
+        ("verdict", "--cocycle", str(tmp_path), "--family", "bn"),
+        ("verdict", "--cocycle", str(latin), "--family", "bn"),
+        ("cocycle-classify", str(tmp_path), str(good)),
+        ("cocycle-classify", str(good), str(latin)),
+        ("cocycle-build", "--n", "2", "--mu1", "0", "-o", str(tmp_path)),
+    ):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("parse error:") and err.count("\n") == 1, argv
 
 
 def test_verify_small_suite_passes_and_validates(capsys):
