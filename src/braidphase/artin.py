@@ -22,8 +22,8 @@ Worked n = 2 example: for the word ``s1*s1`` the first letter gives
 ``x2 -> (x2^-1*x1*x2)^-1 * x2 * (x2^-1*x1*x2) = x2^-1*x1^-1*x2*x1*x2``; both
 images are conjugation by ``x1*x2``, as direct substitution confirms.
 
-The action is faithful, which is what makes comparing generator images a
-sound equality oracle for braid words.
+The action is faithful; ``oracle-agreement`` checks it against Garside forms.
+Braid equality is decided by Dynnikov coordinates (:func:`braid.equal`).
 """
 
 from __future__ import annotations

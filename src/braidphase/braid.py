@@ -5,13 +5,13 @@ braid group on n strands.  Free reduction (cancelling ``s_i s_i^-1``) is
 applied eagerly on construction; no other relation is, so structural equality
 of words is *not* group equality.  Braid and a-alphabet words are parsed and
 printed by :mod:`braidphase.freegroup`, and braid words are reduced there
-too.  Two independent oracles decide the word problem:
-
-* :func:`equal` compares the induced free-group automorphisms (the action is
-  faithful), and
-* :func:`garside_normal_form` computes the left-greedy canonical form
-  ``Delta^p A_1 ... A_k`` (factors are permutation braids) by incremental
-  left-weighting; words are equal exactly when their forms coincide.
+too.  :func:`equal` decides the word problem by comparing :func:`dynnikov`
+coordinates, integer vectors built in polynomial time.  The cross-check is
+:func:`garside_normal_form`, the left-greedy canonical form
+``Delta^p A_1 ... A_k`` (factors are permutation braids) computed by
+incremental left-weighting: words are equal exactly when their forms
+coincide.  Artin's action (:mod:`braidphase.artin`) is checked for
+faithfulness against Garside, in ``verify``, and decides nothing here.
 
 The module also builds the standard pure-braid generators
 
@@ -45,6 +45,7 @@ __all__ = [
     "defining_relations",
     "center_z",
     "center_z_pure_word",
+    "dynnikov",
     "equal",
     "garside_normal_form",
     "rewrite_pure",
@@ -243,12 +244,37 @@ def center_z(n: int) -> BraidWord:
     return delta(n) * delta(n)
 
 
+def dynnikov(b: BraidWord) -> tuple[int, ...]:
+    """Dynnikov coordinates: the vector of Z^{2n} that the letters of ``b``,
+    read left to right, make of (0,1, 0,1, ..., 0,1).  The start vector has
+    trivial stabiliser (Dynnikov 2002; Dehornoy 2008, "Efficient solutions to
+    the braid isotopy problem"), so words are equal exactly when their
+    coordinates are.  Each letter adds O(1) bits: O(L^2) bit operations.
+    """
+    c = [0, 1] * b.strands
+    for i, sign in b.letters:
+        k = 2 * i - 2
+        a1, b1, a2, b2 = c[k : k + 4]
+        if sign < 0:  # s_i^-1 is s_i conjugated by negating every a_j
+            a1, a2 = -a1, -a2
+        # s_i, with x+ = max(x, 0), x- = min(x, 0), t = a1 - b1- - a2 + b2+:
+        # (a1 + b1+ + (b2+ - t)+, b2 - t+, a2 + b2- + (b1- + t)-, b1 + t+)
+        p1 = b1 if b1 > 0 else 0
+        p2 = b2 if b2 > 0 else 0
+        t = a1 - (b1 - p1) - a2 + p2
+        tp, u, v = (t if t > 0 else 0), p2 - t, b1 - p1 + t
+        a1, a2 = a1 + p1 + (u if u > 0 else 0), a2 + b2 - p2 + (v if v < 0 else 0)
+        if sign < 0:
+            a1, a2 = -a1, -a2
+        c[k : k + 4] = (a1, b2 - tp, a2, b1 + tp)
+    return tuple(c)
+
+
 def equal(a: BraidWord, b: BraidWord) -> bool:
-    """Group equality via the faithful action on the free group."""
+    """Group equality, decided by Dynnikov coordinates.  The words are never
+    multiplied, so two words each under the letter cap always compare."""
     a._check(b)
-    if permutation_of(a) != permutation_of(b):
-        return False
-    return artin.artin_auto(a) == artin.artin_auto(b)
+    return dynnikov(a) == dynnikov(b)
 
 
 def embed(b: BraidWord, strands: int) -> BraidWord:
@@ -317,7 +343,7 @@ def _weight_pair(a: tuple[int, ...], b: tuple[int, ...]):
 
 
 def garside_normal_form(b: BraidWord) -> GarsideForm:
-    """Canonical left normal form; the second word-problem oracle.
+    """Canonical left normal form, and the cross-check of :func:`equal`.
 
     s_i^-1 = Delta^-1 (Delta s_i^-1), and moving Delta^-1 to the front
     conjugates each factor it passes, which sends s_j to s_{n-j}.  The positive

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``normalize``       canonical form of a braid word (Garside) or free word
-* ``equal``           decide equality of two words
+* ``equal``           decide equality of two words (``--oracle``, for braids)
 * ``act``             apply the braid action to a free word
 * ``rewrite-pure``    rewrite a pure braid word into the a-alphabet
 * ``cocycle-build``   write a braid 1-cocycle table as JSON
@@ -27,6 +27,7 @@ Per-check wall-clock timings are therefore only included when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -74,6 +75,8 @@ def _cmd_equal(args) -> int:
         b = parse_braid_word(args.right, args.n)
         if args.oracle == "garside":
             result = garside_normal_form(a) == garside_normal_form(b)
+        elif args.oracle == "artin":
+            result = artin_auto(a) == artin_auto(b)
         else:
             result = equal(a, b)
     else:
@@ -161,7 +164,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="braidphase",
         description="Exact braid-group, braid-action and circle-cocycle calculator.",
@@ -177,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equal", help="decide equality of two words")
     p.add_argument("--group", choices=("bn", "fn"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle", choices=("artin", "garside"), default="artin")
+    p.add_argument("--oracle", choices=("dynnikov", "garside", "artin"), default="dynnikov",
+                   help="dynnikov decides, garside cross-checks, artin is exponential in L")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_equal)
@@ -225,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -24,6 +24,7 @@ from .braid import (
     center_z,
     center_z_pure_word,
     defining_relations,
+    dynnikov,
     embed,
     equal,
     garside_normal_form,
@@ -95,7 +96,7 @@ def braid_center(rng: random.Random | None = None, *, n: int) -> str | None:
     words = [("Delta^2", z), ("(s1..s_{n-1})^n", power), ("a-product", aword)]
     for (la, wa), (lb, wb) in itertools.combinations(words, 2):
         if not equal(wa, wb):
-            return f"action oracle rejects {la} = {lb}"
+            return f"Dynnikov coordinates reject {la} = {lb}"
         if garside_normal_form(wa) != garside_normal_form(wb):
             return f"canonical forms differ for {la} = {lb}"
     return None
@@ -149,8 +150,8 @@ def pure_rewrite(rng: random.Random, *, n: int, samples: int) -> str | None:
 
 
 def oracle_agreement(rng: random.Random, *, max_n: int) -> str | None:
-    """Both oracles on 500 pairs, half random and half equal by
-    construction; each answer must come up in at least a fifth of them."""
+    """The action against Garside forms on 500 pairs, half random and half
+    equal by construction; each answer must come up in at least a fifth."""
     pairs = 500
     seen = {True: 0, False: 0}
     for t in range(pairs):
@@ -160,12 +161,31 @@ def oracle_agreement(rng: random.Random, *, max_n: int) -> str | None:
             b = random_braid_word(n, rng.randint(0, 30), rng)
         else:
             a, b = random_equal_pair(n, 30, rng)
-        via_action = equal(a, b)
+        via_action = artin_auto(a) == artin_auto(b)
         if via_action != (garside_normal_form(a) == garside_normal_form(b)):
             return f"oracles disagree on {a} vs {b} (n={n})"
         seen[via_action] += 1
     if min(seen.values()) < pairs // 5:
         return f"sample too one-sided: {seen[True]} equal, {seen[False]} unequal pairs"
+    return None
+
+
+def dynnikov_agreement(rng: random.Random, *, n: int) -> str | None:
+    """Dynnikov coordinates against Garside forms up to 640 letters: a pair
+    equal by construction, then near misses, with s_i s_j s_i^-1 s_j^-1 put
+    into the second word, and that word with one letter inverted."""
+    for length, rounds in ((10, 16), (40, 8), (160, 4), (640, 1)):
+        for _ in range(rounds):
+            a, b = random_equal_pair(n, length, rng)
+            i, j = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            near, cut = list(b.letters), rng.randint(0, len(b.letters))
+            near[cut:cut] = [(i, 1), (j, 1), (i, -1), (j, -1)]
+            t = rng.randrange(len(near))
+            flip = near[:t] + [(near[t][0], -near[t][1])] + near[t + 1 :]
+            form, coordinates = garside_normal_form(a), dynnikov(a)
+            for other in (b, BraidWord(n, tuple(near)), BraidWord(n, tuple(flip))):
+                if (dynnikov(other) == coordinates) != (garside_normal_form(other) == form):
+                    return f"Dynnikov and Garside disagree on {a} vs {other}"
     return None
 
 
@@ -452,6 +472,9 @@ REGISTRY = (
     ("oracle-agreement", "braid",
      "the action oracle and the canonical-form oracle decide equality identically",
      oracle_agreement, lambda max_n: [dict(max_n=min(5, max_n))]),
+    ("dynnikov-agreement.n{n}", "braid",
+     "Dynnikov coordinates and Garside normal forms decide equality identically",
+     dynnikov_agreement, lambda max_n: [dict(n=n) for n in range(2, max_n + 1)]),
     ("permutation-homomorphism.n{n}", "braid",
      "the strand permutation map is multiplicative",
      permutation_homomorphism, _sizes(2, 6)),

@@ -10,6 +10,7 @@ from braidphase.braid import (
     center_z,
     center_z_pure_word,
     delta,
+    dynnikov,
     embed,
     equal,
     garside_normal_form,
@@ -89,6 +90,43 @@ def test_equal_oracle():
         equal(parse_braid_word("s1", 2), parse_braid_word("s1", 3))
 
 
+def test_dynnikov_golden():
+    # (n, Delta, z = Delta^2); neither is the start vector (0,1, ..., 0,1)
+    golden = [
+        (2, (1, 0, 0, 2), (1, -1, 0, 3)),
+        (3, (2, 0, 1, 0, 0, 3), (2, -2, 1, 0, 0, 5)),
+        (4, (3, 0, 2, 0, 1, 0, 0, 4), (3, -3, 2, 0, 1, 0, 0, 7)),
+        (5, (4, 0, 3, 0, 2, 0, 1, 0, 0, 5), (4, -4, 3, 0, 2, 0, 1, 0, 0, 9)),
+        (6, (5, 0, 4, 0, 3, 0, 2, 0, 1, 0, 0, 6), (5, -5, 4, 0, 3, 0, 2, 0, 1, 0, 0, 11)),
+        (7, (6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 0, 0, 7),
+         (6, -6, 5, 0, 4, 0, 3, 0, 2, 0, 1, 0, 0, 13)),
+    ]
+    for n, half, full in golden:
+        assert dynnikov(BraidWord.identity(n)) == (0, 1) * n
+        assert dynnikov(delta(n)) == half
+        assert dynnikov(center_z(n)) == full
+    rng = random.Random(1000)
+    letters = []
+    while len(letters) < 1000:  # no letter next to its inverse: 1000 after reduction
+        i, e = rng.randint(1, 4), rng.choice((1, -1))
+        if letters[-1:] != [(i, -e)]:
+            letters.append((i, e))
+    w = BraidWord(5, tuple(letters))
+    assert len(w.letters) == 1000
+    assert dynnikov(w) == (
+        4,
+        -2854266523247559180716777839250099751685298194636254630860157675,
+        2854266523247559180716777839250099751685298194636254630860157661,
+        -12721388625559889274901515670274343393631531253994437689884525560,
+        -3247063072636100829794090255751807387251085702517914492238098117,
+        12177237531062063130900737883012710801777798509871633828390352881,
+        -2899272771823214689064499619912381357649873861594857534495885861,
+        498175058876954083155084004083402338130167147588219396558183928,
+        0,
+        2900242558868431241562471622428330005408863791170839095796146431,
+    )
+
+
 def test_relation_soundness_all_indices():
     for n in range(2, 7):
         for i in range(1, n - 1):
@@ -107,7 +145,7 @@ def test_garside_examples():
     assert garside_normal_form(parse_braid_word("s1*s2*s1", 3)) == GarsideForm(3, 1, ())
     form = garside_normal_form(parse_braid_word("s1^-1", 3))
     assert form.power == -1 and len(form.factors) == 1
-    # cross-check the inverse-letter conversion against the action oracle
+    # cross-check the inverse-letter conversion against the Dynnikov decision
     assert equal(form.as_braid_word(), parse_braid_word("s1^-1", 3))
     # exact forms, pinned so that a rewrite of the engine cannot change them
     golden = [

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 import time
 
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidphase.braid import BraidWord
 from braidphase.cli import main
 
 REPORT_SCHEMA = {
@@ -76,12 +78,35 @@ def test_oversized_braid_word_fails_fast(capsys):
 def test_equal(capsys):
     code, out = run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s1*s2*s1", "s2*s1*s2")
     assert code == 0 and out.strip() == "true"
-    code, out = run_cli(
-        capsys, "equal", "--group", "bn", "--n", "3", "--oracle", "garside", "s1", "s2"
-    )
-    assert code == 0 and out.strip() == "false"
+    for oracle in ("dynnikov", "garside", "artin"):
+        for left, right, expected in (("s1*s2*s1", "s2*s1*s2", "true"), ("s1", "s2", "false")):
+            code, out = run_cli(
+                capsys, "equal", "--group", "bn", "--n", "3", "--oracle", oracle, left, right
+            )
+            assert code == 0 and out.strip() == expected, oracle
     code, out = run_cli(capsys, "equal", "--group", "fn", "--n", "2", "x1*x1^-1", "e")
     assert code == 0 and out.strip() == "true"
+
+
+def test_equal_default_oracle_long_words(capsys):
+    # n = 12 and 10,240 letters: far out of the action's reach, and minutes of Garside
+    rng = random.Random(10240)
+    left = []
+    while len(left) < 10240:  # no letter next to its inverse, so nothing reduces
+        i, e = rng.randint(1, 11), rng.choice((1, -1))
+        if left[-1:] != [(i, -e)]:
+            left.append((i, e))
+    right = left.copy()
+    for _ in range(8):  # relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1
+        i, cut = rng.randint(1, 10), rng.randint(0, len(right))
+        right[cut:cut] = [(i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)]
+    near = right.copy()  # one letter inverted: never equal
+    t = rng.randrange(len(near))
+    near[t] = (near[t][0], -near[t][1])
+    words = [str(BraidWord(12, tuple(letters))) for letters in (left, right, near)]
+    for other, expected in ((words[1], "true"), (words[2], "false")):
+        code, out = run_cli(capsys, "equal", "--group", "bn", "--n", "12", words[0], other)
+        assert code == 0 and out.strip() == expected
 
 
 def test_act(capsys):
@@ -332,8 +357,9 @@ def test_verdict_table_with_too_few_strands(tmp_path, capsys):
 # Tokens near the word grammar: letters of every alphabet and a stray one,
 # indices in and out of range, well-formed and broken exponents.  Exponents
 # stay small or pass the braid letter cap: a braid word of some 10^5 letters
-# would parse and then spend seconds in Garside.  act and the action oracle
-# are left out, their cost grows exponentially with the word.
+# would parse and then spend seconds in Garside.  act and ``equal --oracle
+# artin`` are left out, their cost grows exponentially with the word; the
+# default Dynnikov oracle is polynomial and runs.
 _INDICES = st.one_of(
     st.integers(-1, 13).map(str),
     st.tuples(st.integers(-1, 13), st.integers(-1, 13)).map(lambda p: f"({p[0]}, {p[1]})"),
@@ -385,6 +411,7 @@ def test_cli_fuzz_exits_with_documented_code(n, word, other, angle, entries, fam
             ["normalize", "--group", "bn", "--n", str(n), "--", word],
             ["normalize", "--group", "fn", "--n", str(n), "--", word],
             ["equal", "--group", "bn", "--n", str(n), "--oracle", "garside", "--", word, other],
+            ["equal", "--group", "bn", "--n", str(n), "--", word, other],
             ["rewrite-pure", "--n", str(n), "--", word],
             ["cocycle-build", "--n", str(n), f"--mu1={angle}"],
             ["verdict", "--cocycle", path, "--family", family],
