@@ -1,17 +1,18 @@
 """Scaling curve of ``braidphase equal --group bn`` for each word-problem oracle.
 
-Two modes:
+Two modes, both importing ``braidphase`` for the seeded words (install the
+package, or put its ``src`` on ``PYTHONPATH``):
 
 ``python scripts/bench_equal.py --before OLD/src --after src --out BENCH_8.json``
-    Times ``equal`` through ``braidphase.cli.main`` for every oracle of
-    ``--oracle`` (an oracle a tree does not offer is recorded as null), over
-    n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, on the two source
-    trees side by side.  A case is the median of three seeded equal pairs,
-    each timed in one fresh child process per case and tree.  A case that
-    runs out of TIMEOUT_S seconds is recorded as "timeout", and one that
-    runs out of the MEMORY_MB address-space limit as "memory"; the longer
-    words of that oracle and n are then not run and are recorded the same
-    way, since the cost only grows with L.
+    Times ``equal`` through ``braidphase.cli.main`` for every oracle that
+    either tree's ``--oracle`` offers (one a tree lacks is recorded there as
+    null), over n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, on the
+    two source trees side by side.  A case is the median of three seeded
+    equal pairs, each pair timed in its own fresh child process.  A case in
+    which one call runs out of TIMEOUT_S seconds is recorded as "timeout",
+    and one that runs out of the MEMORY_MB address-space limit as "memory";
+    the longer words of that oracle and n are then not run and are recorded
+    the same way, since the cost only grows with L.
 
 ``python scripts/bench_equal.py --pair N L SEED``
     Prints the seeded equal pair for (N, L, SEED), one braid word per line.
@@ -42,22 +43,20 @@ SEEDS = (0, 1, 2)
 TIMEOUT_S = 60
 MEMORY_MB = 1024  # keeps the action's exponential images off a shared machine
 METHOD = (
-    "Each case runs in a fresh child process per tree: one warm-up call, then "
-    "the three seeded pairs timed around braidphase.cli.main. 'timeout' and "
-    "'memory' mark a case that ran out of timeout_s or memory_limit_mb; longer "
-    "words of that oracle and n are then not run and carry the same mark. "
-    "null: the tree has no such oracle."
+    "Each seeded pair is timed in a fresh child process per tree: one warm-up "
+    "call, then one call to braidphase.cli.main, timed. 'timeout' and 'memory' "
+    "mark a case in which one such child ran out of timeout_s or "
+    "memory_limit_mb; longer words of that oracle and n are then not run and "
+    "carry the same mark. null: the tree has no such oracle."
 )
 
 
 def pair(n: int, length: int, seed: int) -> tuple[str, str]:
     """The seeded equal pair, as braid word text."""
+    from braidphase.braid import random_reduced_word
+
     rng = random.Random(f"{n}:{length}:{seed}")
-    left: list[tuple[int, int]] = []
-    while len(left) < length:
-        i, e = rng.randint(1, n - 1), rng.choice((1, -1))
-        if left[-1:] != [(i, -e)]:
-            left.append((i, e))
+    left = list(random_reduced_word(n, length, rng).letters)
     right = left.copy()
     for _ in range(4):
         i, cut = rng.randint(1, n - 2), rng.randint(0, len(right))
@@ -65,12 +64,14 @@ def pair(n: int, length: int, seed: int) -> tuple[str, str]:
     return tuple("*".join(f"s{i}" if e > 0 else f"s{i}^-1" for i, e in w) for w in (left, right))
 
 
-def run_case(src: str, oracle: str, n: int, length: int) -> None:
-    """Child process: time the three pairs of one case and print the seconds
-    as JSON, or "memory", or null when the tree has no such oracle."""
+def run_case(src: str, oracle: str, n: int) -> None:
+    """Child process: time ``equal`` on the pair read from standard input as
+    a JSON list of two words; print the seconds, "memory", or null when the
+    tree has no such oracle."""
     import resource
     import time
 
+    left, right = json.load(sys.stdin)
     limit = MEMORY_MB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, src)
@@ -83,34 +84,37 @@ def run_case(src: str, oracle: str, n: int, length: int) -> None:
     except SystemExit:  # argparse: no such --oracle choice in this tree
         print(json.dumps(None))
         return
-    times = []
+    argv = ["equal", "--group", "bn", "--n", str(n), "--oracle", oracle, left, right]
     try:
-        for seed in SEEDS:
-            left, right = pair(n, length, seed)
-            argv = ["equal", "--group", "bn", "--n", str(n), "--oracle", oracle, left, right]
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                start = time.perf_counter()
-                code = main(argv)
-                times.append(time.perf_counter() - start)
-            if code != 0 or out.getvalue().strip() != "true":
-                raise SystemExit(f"{oracle} n={n} L={length} seed={seed}: wrong answer")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            start = time.perf_counter()
+            code = main(argv)
+            seconds = time.perf_counter() - start
     except MemoryError:
-        times = "memory"
-    print(json.dumps(times))
+        print(json.dumps("memory"))
+        return
+    if code != 0 or out.getvalue().strip() != "true":
+        raise SystemExit(f"{oracle} n={n}: wrong answer on a pair of {len(left)} letters")
+    print(json.dumps(seconds))
 
 
 def measure(src: str, oracle: str, n: int, length: int) -> object:
-    """Median milliseconds of one case in a fresh child, or its failure."""
-    command = [sys.executable, __file__, "--case", src, oracle, str(n), str(length)]
-    try:
-        done = subprocess.run(command, capture_output=True, text=True, timeout=TIMEOUT_S,
-                              check=True)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    result = json.loads(done.stdout)
-    if isinstance(result, list):
-        return round(statistics.median(result) * 1000, 2)
-    return result
+    """Median milliseconds of one case, each pair in a fresh child, or the
+    first failure."""
+    times = []
+    for seed in SEEDS:
+        command = [sys.executable, __file__, "--case", src, oracle, str(n)]
+        try:
+            done = subprocess.run(command, input=json.dumps(pair(n, length, seed)),
+                                  capture_output=True, text=True, timeout=TIMEOUT_S,
+                                  check=True)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        result = json.loads(done.stdout)
+        if not isinstance(result, float):
+            return result
+        times.append(result)
+    return round(statistics.median(times) * 1000, 2)
 
 
 def scaling(args) -> dict:
@@ -148,7 +152,7 @@ def scaling(args) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pair", nargs=3, type=int, metavar=("N", "L", "SEED"))
-    parser.add_argument("--case", nargs=4, metavar=("SRC", "ORACLE", "N", "L"))
+    parser.add_argument("--case", nargs=3, metavar=("SRC", "ORACLE", "N"))
     parser.add_argument("--before", help="src directory of the parent tree")
     parser.add_argument("--after", default="src", help="src directory of the changed tree")
     parser.add_argument("--before-name", default="parent")
@@ -158,8 +162,8 @@ def main(argv=None) -> int:
     if args.pair:
         print("\n".join(pair(*args.pair)))
     elif args.case:
-        src, oracle, n, length = args.case
-        run_case(src, oracle, int(n), int(length))
+        src, oracle, n = args.case
+        run_case(src, oracle, int(n))
     else:
         if not (args.before and args.out):
             parser.error("a scaling run needs --before and --out")

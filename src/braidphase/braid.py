@@ -55,6 +55,7 @@ __all__ = [
     "parse_braid_word",
     "parse_pure_word",
     "random_braid_word",
+    "random_reduced_word",
     "random_pure_braid_word",
     "random_equal_pair",
 ]
@@ -600,6 +601,16 @@ def random_braid_word(strands: int, length: int, rng: random.Random) -> BraidWor
         (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(length)
     )
     return BraidWord(strands, letters)
+
+
+def random_reduced_word(strands: int, length: int, rng: random.Random) -> BraidWord:
+    """A random word of exactly ``length`` letters, none next to its inverse."""
+    letters: list[tuple[int, int]] = []
+    while len(letters) < length:
+        i, e = rng.randint(1, strands - 1), rng.choice((1, -1))
+        if letters[-1:] != [(i, -e)]:
+            letters.append((i, e))
+    return BraidWord(strands, tuple(letters))
 
 
 def random_pure_braid_word(strands: int, length: int, rng: random.Random) -> BraidWord:

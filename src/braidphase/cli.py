@@ -75,8 +75,6 @@ def _cmd_equal(args) -> int:
         b = parse_braid_word(args.right, args.n)
         if args.oracle == "garside":
             result = garside_normal_form(a) == garside_normal_form(b)
-        elif args.oracle == "artin":
-            result = artin_auto(a) == artin_auto(b)
         else:
             result = equal(a, b)
     else:
@@ -182,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equal", help="decide equality of two words")
     p.add_argument("--group", choices=("bn", "fn"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle", choices=("dynnikov", "garside", "artin"), default="dynnikov",
-                   help="dynnikov decides, garside cross-checks, artin is exponential in L")
+    p.add_argument("--oracle", choices=("dynnikov", "garside"), default="dynnikov",
+                   help="dynnikov decides; garside, the canonical form, cross-checks it")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_equal)

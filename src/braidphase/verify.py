@@ -171,19 +171,28 @@ def oracle_agreement(rng: random.Random, *, max_n: int) -> str | None:
 
 
 def dynnikov_agreement(rng: random.Random, *, n: int) -> str | None:
-    """Dynnikov coordinates against Garside forms up to 640 letters: a pair
-    equal by construction, then near misses, with s_i s_j s_i^-1 s_j^-1 put
-    into the second word, and that word with one letter inverted."""
+    """Dynnikov coordinates against Garside forms up to 640 letters.  Equal:
+    a pair equal by construction, and the first word's normal form written
+    out.  Near misses: the second word with the commutator of s_i^2 and
+    s_{i+1}^2 put in (pure, exponent sum 0, nontrivial), and that word with
+    one letter inverted.  B_2 is infinite cyclic, so n = 2 has no commutator."""
     for length, rounds in ((10, 16), (40, 8), (160, 4), (640, 1)):
         for _ in range(rounds):
             a, b = random_equal_pair(n, length, rng)
-            i, j = rng.randint(1, n - 1), rng.randint(1, n - 1)
-            near, cut = list(b.letters), rng.randint(0, len(b.letters))
-            near[cut:cut] = [(i, 1), (j, 1), (i, -1), (j, -1)]
-            t = rng.randrange(len(near))
-            flip = near[:t] + [(near[t][0], -near[t][1])] + near[t + 1 :]
             form, coordinates = garside_normal_form(a), dynnikov(a)
-            for other in (b, BraidWord(n, tuple(near)), BraidWord(n, tuple(flip))):
+            if dynnikov(form.as_braid_word()) != coordinates:
+                return f"Dynnikov coordinates reject {a} = its normal form"
+            others, near, cut = [b], list(b.letters), rng.randint(0, len(b.letters))
+            if n > 2:
+                i = rng.randint(1, n - 2)
+                near[cut:cut] = [(i, 1), (i, 1), (i + 1, 1), (i + 1, 1)]
+                near[cut + 4 : cut + 4] = [(i, -1), (i, -1), (i + 1, -1), (i + 1, -1)]
+                others.append(BraidWord(n, tuple(near)))
+            if near:
+                t = rng.randrange(len(near))
+                flip = near[:t] + [(near[t][0], -near[t][1])] + near[t + 1 :]
+                others.append(BraidWord(n, tuple(flip)))
+            for other in others:
                 if (dynnikov(other) == coordinates) != (garside_normal_form(other) == form):
                     return f"Dynnikov and Garside disagree on {a} vs {other}"
     return None

@@ -24,6 +24,7 @@ from braidphase.braid import (
     random_braid_word,
     random_equal_pair,
     random_pure_braid_word,
+    random_reduced_word,
     rewrite_pure,
 )
 from braidphase.errors import ParseError, RankError
@@ -105,13 +106,7 @@ def test_dynnikov_golden():
         assert dynnikov(BraidWord.identity(n)) == (0, 1) * n
         assert dynnikov(delta(n)) == half
         assert dynnikov(center_z(n)) == full
-    rng = random.Random(1000)
-    letters = []
-    while len(letters) < 1000:  # no letter next to its inverse: 1000 after reduction
-        i, e = rng.randint(1, 4), rng.choice((1, -1))
-        if letters[-1:] != [(i, -e)]:
-            letters.append((i, e))
-    w = BraidWord(5, tuple(letters))
+    w = random_reduced_word(5, 1000, random.Random(1000))
     assert len(w.letters) == 1000
     assert dynnikov(w) == (
         4,

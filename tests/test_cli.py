@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidphase.braid import BraidWord
+from braidphase.braid import BraidWord, random_reduced_word
 from braidphase.cli import main
 
 REPORT_SCHEMA = {
@@ -78,7 +78,7 @@ def test_oversized_braid_word_fails_fast(capsys):
 def test_equal(capsys):
     code, out = run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s1*s2*s1", "s2*s1*s2")
     assert code == 0 and out.strip() == "true"
-    for oracle in ("dynnikov", "garside", "artin"):
+    for oracle in ("dynnikov", "garside"):
         for left, right, expected in (("s1*s2*s1", "s2*s1*s2", "true"), ("s1", "s2", "false")):
             code, out = run_cli(
                 capsys, "equal", "--group", "bn", "--n", "3", "--oracle", oracle, left, right
@@ -91,20 +91,21 @@ def test_equal(capsys):
 def test_equal_default_oracle_long_words(capsys):
     # n = 12 and 10,240 letters: far out of the action's reach, and minutes of Garside
     rng = random.Random(10240)
-    left = []
-    while len(left) < 10240:  # no letter next to its inverse, so nothing reduces
-        i, e = rng.randint(1, 11), rng.choice((1, -1))
-        if left[-1:] != [(i, -e)]:
-            left.append((i, e))
+    left = list(random_reduced_word(12, 10240, rng).letters)
     right = left.copy()
     for _ in range(8):  # relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1
         i, cut = rng.randint(1, 10), rng.randint(0, len(right))
         right[cut:cut] = [(i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)]
-    near = right.copy()  # one letter inverted: never equal
-    t = rng.randrange(len(near))
-    near[t] = (near[t][0], -near[t][1])
-    words = [str(BraidWord(12, tuple(letters))) for letters in (left, right, near)]
-    for other, expected in ((words[1], "true"), (words[2], "false")):
+    # near misses, never equal: the commutator of s_i^2 and s_{i+1}^2 put in,
+    # which keeps the permutation and the exponent sum, and one letter inverted
+    i, cut = rng.randint(1, 10), rng.randint(0, len(right))
+    commutator = [(i, 1)] * 2 + [(i + 1, 1)] * 2 + [(i, -1)] * 2 + [(i + 1, -1)] * 2
+    pure = right[:cut] + commutator + right[cut:]
+    flip = right.copy()
+    t = rng.randrange(len(flip))
+    flip[t] = (flip[t][0], -flip[t][1])
+    words = [str(BraidWord(12, tuple(letters))) for letters in (left, right, pure, flip)]
+    for other, expected in zip(words[1:], ("true", "false", "false")):
         code, out = run_cli(capsys, "equal", "--group", "bn", "--n", "12", words[0], other)
         assert code == 0 and out.strip() == expected
 
@@ -357,9 +358,9 @@ def test_verdict_table_with_too_few_strands(tmp_path, capsys):
 # Tokens near the word grammar: letters of every alphabet and a stray one,
 # indices in and out of range, well-formed and broken exponents.  Exponents
 # stay small or pass the braid letter cap: a braid word of some 10^5 letters
-# would parse and then spend seconds in Garside.  act and ``equal --oracle
-# artin`` are left out, their cost grows exponentially with the word; the
-# default Dynnikov oracle is polynomial and runs.
+# would parse and then spend seconds in Garside.  act is left out, its cost
+# grows exponentially with the word; the default Dynnikov oracle of equal is
+# polynomial and runs.
 _INDICES = st.one_of(
     st.integers(-1, 13).map(str),
     st.tuples(st.integers(-1, 13), st.integers(-1, 13)).map(lambda p: f"({p[0]}, {p[1]})"),
