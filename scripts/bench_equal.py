@@ -17,6 +17,10 @@ package, or put its ``src`` on ``PYTHONPATH``):
 ``python scripts/bench_equal.py --pair N L SEED``
     Prints the seeded equal pair for (N, L, SEED), one braid word per line.
 
+``scripts/bench_action.py`` times ``act`` and ``rewrite-pure`` the same way,
+through this script's child processes and scaling loop, which also require
+both trees to print the same output for every input they both finish.
+
 A pair is a random word of L letters, none next to its inverse, and the same
 word with four relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1 put in at
 seeded places, so both sides of every pair are equal and the whole of each
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -43,11 +48,11 @@ SEEDS = (0, 1, 2)
 TIMEOUT_S = 60
 MEMORY_MB = 1024  # keeps the action's exponential images off a shared machine
 METHOD = (
-    "Each seeded pair is timed in a fresh child process per tree: one warm-up "
+    "Each seeded input is timed in a fresh child process per tree: one warm-up "
     "call, then one call to braidphase.cli.main, timed. 'timeout' and 'memory' "
     "mark a case in which one such child ran out of timeout_s or "
-    "memory_limit_mb; longer words of that oracle and n are then not run and "
-    "carry the same mark. null: the tree has no such oracle."
+    "memory_limit_mb; longer words of that command and n are then not run and "
+    "carry the same mark. null: the tree has no such choice (an --oracle)."
 )
 
 
@@ -64,80 +69,111 @@ def pair(n: int, length: int, seed: int) -> tuple[str, str]:
     return tuple("*".join(f"s{i}" if e > 0 else f"s{i}^-1" for i, e in w) for w in (left, right))
 
 
-def run_case(src: str, oracle: str, n: int) -> None:
-    """Child process: time ``equal`` on the pair read from standard input as
-    a JSON list of two words; print the seconds, "memory", or null when the
-    tree has no such oracle."""
+def equal_call(oracle: str, n: int, length: int, seed: int) -> dict:
+    """The seeded call of ``equal --oracle ORACLE`` on the pair (n, L, seed)."""
+    left, right = pair(n, length, seed)
+    return {"warm_up": ["equal", "--group", "bn", "--n", "3", "--oracle", oracle, "s1", "s1"],
+            "argv": ["equal", "--group", "bn", "--n", str(n), "--oracle", oracle, left, right],
+            "expect": "true"}
+
+
+def run_case(src: str) -> None:
+    """Child process: time one call of ``braidphase.cli.main`` read from
+    standard input as JSON {"warm_up": argv, "argv": argv, "expect": text or
+    null}; print [seconds, sha256 of the output], "memory", or null when the
+    tree rejects the warm-up's arguments (it has no such choice)."""
+    import hashlib
     import resource
     import time
 
-    left, right = json.load(sys.stdin)
+    call = json.load(sys.stdin)
     limit = MEMORY_MB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, src)
     from braidphase.cli import main
 
-    warm_up = ["equal", "--group", "bn", "--n", "3", "--oracle", oracle, "s1", "s1"]
     try:  # also fills the lazy caches: parser, token regex
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            main(warm_up)
-    except SystemExit:  # argparse: no such --oracle choice in this tree
+            main(call["warm_up"])
+    except SystemExit:  # argparse: no such choice in this tree
         print(json.dumps(None))
         return
-    argv = ["equal", "--group", "bn", "--n", str(n), "--oracle", oracle, left, right]
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             start = time.perf_counter()
-            code = main(argv)
+            code = main(call["argv"])
             seconds = time.perf_counter() - start
+        text = out.getvalue().strip()
     except MemoryError:
         print(json.dumps("memory"))
         return
-    if code != 0 or out.getvalue().strip() != "true":
-        raise SystemExit(f"{oracle} n={n}: wrong answer on a pair of {len(left)} letters")
-    print(json.dumps(seconds))
+    if code != 0 or call["expect"] not in (None, text):
+        argv = call["argv"]
+        raise SystemExit(f"{argv[0]} --n {argv[argv.index('--n') + 1]}: wrong answer")
+    print(json.dumps([seconds, hashlib.sha256(text.encode()).hexdigest()]))
 
 
-def measure(src: str, oracle: str, n: int, length: int) -> object:
-    """Median milliseconds of one case, each pair in a fresh child, or the
-    first failure."""
-    times = []
-    for seed in SEEDS:
-        command = [sys.executable, __file__, "--case", src, oracle, str(n)]
+def measure(src: str, calls: list[dict]) -> tuple[object, list | None]:
+    """Median milliseconds of the calls, each in a fresh child, with the
+    digests of their outputs; or the first failure and no digests."""
+    times, digests = [], []
+    for call in calls:
+        command = [sys.executable, __file__, "--case", src]
         try:
-            done = subprocess.run(command, input=json.dumps(pair(n, length, seed)),
-                                  capture_output=True, text=True, timeout=TIMEOUT_S,
-                                  check=True)
+            done = subprocess.run(command, input=json.dumps(call), capture_output=True,
+                                  text=True, timeout=TIMEOUT_S, check=True)
         except subprocess.TimeoutExpired:
-            return "timeout"
+            return "timeout", None
         result = json.loads(done.stdout)
-        if not isinstance(result, float):
-            return result
-        times.append(result)
-    return round(statistics.median(times) * 1000, 2)
+        if not isinstance(result, list):
+            return result, None
+        times.append(result[0])
+        digests.append(result[1])
+    return round(statistics.median(times) * 1000, 2), digests
 
 
-def scaling(args) -> dict:
-    trees = {"before": args.before, "after": args.after}
+def scaling(trees: dict[str, str], workloads: list) -> list[dict]:
+    """Cases of each (key, make_call) workload over STRANDS x LENGTHS on both
+    trees, one call per seed; the trees must print the same outputs."""
     cases = []
-    for oracle in ORACLES:
+    for key, make_call in workloads:
         for n in STRANDS:
             given_up = {}
             for index, length in enumerate(LENGTHS):
-                row = {"oracle": oracle, "n": n, "L": length}
+                calls = [make_call(n, length, seed) for seed in SEEDS]
+                row, digests = {}, {}
                 order = list(trees) if index % 2 == 0 else list(reversed(trees))
                 for side in order:
                     if side in given_up:
                         row[side] = given_up[side]
                         continue
-                    row[side] = measure(trees[side], oracle, n, length)
+                    row[side], digests[side] = measure(trees[side], calls)
                     if row[side] in ("timeout", "memory"):
                         given_up[side] = row[side]
-                cases.append({key: row[key] for key in ("oracle", "n", "L", "before", "after")})
-                print(json.dumps(cases[-1]), file=sys.stderr)
-    return {
-        "metric": "braidphase equal --group bn wall time per call, median of 3 seeded "
-                  "equal pairs, ms",
+                case = {**key, "n": n, "L": length, "before": row["before"],
+                        "after": row["after"]}
+                if None not in digests.values() and len(set(map(tuple, digests.values()))) > 1:
+                    raise SystemExit(f"the trees print different outputs: {case}")
+                cases.append(case)
+                print(json.dumps(case), file=sys.stderr)
+    return cases
+
+
+def scaling_parser(description: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--before", help="src directory of the parent tree")
+    parser.add_argument("--after", default="src", help="src directory of the changed tree")
+    parser.add_argument("--before-name", default="parent")
+    parser.add_argument("--after-name", default="change")
+    parser.add_argument("--out", help="the BENCH_*.json file to write")
+    return parser
+
+
+def write_scaling(parser, args, metric: str, workloads: list) -> None:
+    if not (args.before and args.out):
+        parser.error("a scaling run needs --before and --out")
+    doc = {
+        "metric": metric,
         "before": args.before_name,
         "after": args.after_name,
         "timeout_s": TIMEOUT_S,
@@ -145,31 +181,26 @@ def scaling(args) -> dict:
         "method": METHOD,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
-        "cases": cases,
+        "cases": scaling({"before": args.before, "after": args.after}, workloads),
     }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = scaling_parser(__doc__.split("\n\n")[0])
     parser.add_argument("--pair", nargs=3, type=int, metavar=("N", "L", "SEED"))
-    parser.add_argument("--case", nargs=3, metavar=("SRC", "ORACLE", "N"))
-    parser.add_argument("--before", help="src directory of the parent tree")
-    parser.add_argument("--after", default="src", help="src directory of the changed tree")
-    parser.add_argument("--before-name", default="parent")
-    parser.add_argument("--after-name", default="change")
-    parser.add_argument("--out", help="the BENCH_*.json file to write")
+    parser.add_argument("--case", metavar="SRC")
     args = parser.parse_args(argv)
     if args.pair:
         print("\n".join(pair(*args.pair)))
     elif args.case:
-        src, oracle, n = args.case
-        run_case(src, oracle, int(n))
+        run_case(args.case)
     else:
-        if not (args.before and args.out):
-            parser.error("a scaling run needs --before and --out")
-        doc = scaling(args)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=1) + "\n")
+        write_scaling(parser, args, "braidphase equal --group bn wall time per call, median "
+                      "of 3 seeded equal pairs, ms",
+                      [({"oracle": oracle}, functools.partial(equal_call, oracle))
+                       for oracle in ORACLES])
     return 0
 
 

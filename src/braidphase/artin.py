@@ -11,9 +11,16 @@ and the action extends to braid words so that ``auto(a) . auto(b) = auto(ab)``
 (left action).  This matches the semidirect-product convention
 ``(x, a)(y, b) = (x * a(y), ab)`` used in :mod:`braidphase.cocycle`.
 
-:func:`artin_auto` reads a word left to right and right-multiplies the
-automorphism built so far, recorded by its generator images ``A_1..A_n``,
-by each letter.  A letter rewrites two images and leaves the others alone:
+:func:`apply_braid` computes ``auto(l_1 ... l_L)(w) = auto(l_1)(...
+auto(l_L)(w))`` on the one word, letters right to left.  A letter maps each
+``(index, exponent)`` run of the reduced word to at most three runs, such as
+``x_{i+1}^e -> x_{i+1}^-1 x_i^e x_{i+1}`` under ``s_i``, so a step costs the
+word's length in runs whatever its exponents; the word can still grow
+exponentially in L, as images under pseudo-Anosov braids do.
+
+:func:`artin_auto` builds the whole automorphism, recorded by its generator
+images ``A_1..A_n``: it reads a word left to right and right-multiplies the
+automorphism built so far by each letter, which rewrites two images:
 ``s_i`` sets ``A_i, A_{i+1} := A_{i+1}, A_{i+1}^-1 A_i A_{i+1}`` and
 ``s_i^-1`` sets ``A_i, A_{i+1} := A_i A_{i+1} A_i^-1, A_i``.
 
@@ -32,12 +39,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import RankError
-from .freegroup import FreeWord
+from .freegroup import FreeWord, _reduce
 
 if TYPE_CHECKING:  # pragma: no cover
     from .braid import BraidWord
 
-__all__ = ["FreeAutomorphism", "artin_auto", "is_inner_for_pure"]
+__all__ = ["FreeAutomorphism", "apply_braid", "artin_auto", "is_inner_for_pure"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,30 @@ def artin_auto(b: BraidWord) -> FreeAutomorphism:
     for i, sign in b.letters:
         _times_generator(images, i, sign)
     return FreeAutomorphism(n, tuple(images))
+
+
+def _substitute(runs, i: int, sign: int) -> tuple[tuple[int, int], ...]:
+    """The reduced runs of auto(s_i^sign)(w), for w given by its runs."""
+    j = i + 1
+    out: list[tuple[int, int]] = []
+    for idx, exp in runs:
+        if idx == i:  # x_i^e -> x_{i+1}^e, or x_i x_{i+1}^e x_i^-1
+            out += ((j, exp),) if sign == 1 else ((i, 1), (j, exp), (i, -1))
+        elif idx == j:  # x_{i+1}^e -> x_{i+1}^-1 x_i^e x_{i+1}, or x_i^e
+            out += ((j, -1), (i, exp), (j, 1)) if sign == 1 else ((i, exp),)
+        else:
+            out.append((idx, exp))
+    return _reduce(out)
+
+
+def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:
+    """auto(b)(word), with the letters of b applied to the word right to left."""
+    if word.rank != b.strands:
+        raise RankError(f"rank mismatch: {b.strands} vs {word.rank}")
+    runs = word.letters
+    for i, sign in reversed(b.letters):
+        runs = _substitute(runs, i, sign)
+    return FreeWord(word.rank, runs)
 
 
 def _minimal_conjugator(word: FreeWord, index: int) -> FreeWord | None:

@@ -32,7 +32,7 @@ import json
 import sys
 
 from . import cocycle as co
-from .artin import artin_auto
+from .artin import apply_braid
 from .braid import equal, garside_normal_form, is_pure, parse_braid_word, rewrite_pure
 from .cocycle import (
     build_braid_cocycle,
@@ -86,7 +86,7 @@ def _cmd_equal(args) -> int:
 def _cmd_act(args) -> int:
     b = parse_braid_word(args.braid, args.n)
     w = parse_free_word(args.word, args.n)
-    print(artin_auto(b)(w))
+    print(apply_braid(b, w))
     return EXIT_OK
 
 

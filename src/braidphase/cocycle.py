@@ -399,16 +399,16 @@ class SemidirectElement:
             return NotImplemented
         if self.n != other.n:
             raise RankError(f"rank mismatch: {self.n} vs {other.n}")
-        acted = artin.artin_auto(self.braid)(other.free)
+        acted = artin.apply_braid(self.braid, other.free)
         return SemidirectElement(self.free * acted, self.braid * other.braid)
 
     def inverse(self) -> SemidirectElement:
         binv = self.braid.inverse()
-        return SemidirectElement(artin.artin_auto(binv)(self.free.inverse()), binv)
+        return SemidirectElement(artin.apply_braid(binv, self.free.inverse()), binv)
 
     def conjugated_by_free(self, x: FreeWord) -> SemidirectElement:
         """(x, e) * self * (x, e)^-1; the braid component is unchanged."""
-        acted = artin.artin_auto(self.braid)(x.inverse())
+        acted = artin.apply_braid(self.braid, x.inverse())
         return SemidirectElement(x * self.free * acted, self.braid)
 
     def commutes_with(self, other: SemidirectElement) -> bool:

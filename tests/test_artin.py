@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidphase.artin import FreeAutomorphism, artin_auto, is_inner_for_pure
+from braidphase.artin import FreeAutomorphism, apply_braid, artin_auto, is_inner_for_pure
 from braidphase.braid import (
     BraidWord,
     center_z,
@@ -57,6 +57,8 @@ def test_apply():
     assert a(parse_free_word("x1*x2", 2)) == parse_free_word("x1*x2", 2)
     with pytest.raises(RankError):
         a(parse_free_word("x1", 3))
+    with pytest.raises(RankError):
+        apply_braid(parse_braid_word("s1", 2), parse_free_word("x1", 3))
 
 
 def test_identity_and_equal():
@@ -78,7 +80,7 @@ def test_artin_auto_is_homomorphism():
         b = random_braid_word(n, rng.randint(0, 8), rng)
         w = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
         auto_a, auto_b, auto_ab = artin_auto(a), artin_auto(b), artin_auto(a * b)
-        assert auto_ab(w) == auto_a(auto_b(w)) == substitute(a * b, w)
+        assert auto_ab(w) == auto_a(auto_b(w)) == substitute(a * b, w) == apply_braid(a * b, w)
         for j in range(1, n + 1):
             assert auto_b.images[j - 1] == substitute(b, FreeWord.generator(n, j))
 
@@ -101,7 +103,11 @@ def test_preserves_product_of_generators():
     for _ in range(200):
         n = rng.randint(2, 5)
         b = random_braid_word(n, rng.randint(0, 15), rng)
-        assert artin_auto(b)(full_word(n)) == full_word(n)
+        assert artin_auto(b)(full_word(n)) == apply_braid(b, full_word(n)) == full_word(n)
+    for _ in range(20):  # far past the reach of artin_auto
+        n = rng.randint(2, 12)
+        b = random_braid_word(n, rng.randint(0, 2000), rng)
+        assert apply_braid(b, full_word(n)) == full_word(n)
 
 
 def test_center_acts_by_conjugation():

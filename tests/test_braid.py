@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -255,6 +256,23 @@ REWRITE_GOLDEN = [
 def test_rewrite_pure_golden():
     for n, word, expected in REWRITE_GOLDEN:
         assert str(rewrite_pure(parse_braid_word(word, n))) == expected
+
+
+# Combed forms that run to thousands of letters, pinned by letter count and the
+# sha256 of their text: rewrite_pure of random_pure_braid_word(n, 120,
+# random.Random(0)).
+REWRITE_GOLDEN_LONG = [
+    (4, 3307, "433f2b708fde5ff03ca0ed46eff577a1f1d8b62141d5de91d92620a3a95b43fd"),
+    (5, 7107, "358152305488987916afc58c30670ad3b4563042196357429121adbea90df5b5"),
+    (6, 7646, "01765d1e501bc6ba74b433243280cf9f66617e74b5a6ec35a00843e40c49f68b"),
+]
+
+
+@pytest.mark.parametrize("n, letters, digest", REWRITE_GOLDEN_LONG)
+def test_rewrite_pure_golden_long(n, letters, digest):
+    aw = rewrite_pure(random_pure_braid_word(n, 120, random.Random(0)))
+    assert sum(abs(e) for _, e in aw.letters) == letters
+    assert hashlib.sha256(str(aw).encode()).hexdigest() == digest
 
 
 def _exponent_sums(w: PureWord) -> dict[tuple[int, int], int]:

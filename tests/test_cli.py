@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidphase.braid import BraidWord, random_reduced_word
 from braidphase.cli import main
+from braidphase.freegroup import parse_free_word
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -115,6 +117,42 @@ def test_act(capsys):
     assert code == 0 and out.strip() == "x2"
     code, out = run_cli(capsys, "act", "--n", "3", "s1", "x1*x2*x3")
     assert code == 0 and out.strip() == "x1*x2*x3"
+    # exponents are carried whole, never written out letter by letter
+    code, out = run_cli(capsys, "act", "--n", "2", "s1", "x1^10000000000*x2^-3")
+    assert code == 0 and out.strip() == "x2^9999999999*x1^-3*x2"
+    # every braid fixes x1*...*x12.  First both signs at every index, so that a
+    # broken step fails here instead of growing the long case exponentially;
+    # then the first word of `scripts/bench_equal.py --pair 12 10240 0`, along
+    # which the word applied to stays 12 letters at each step
+    product = "*".join(f"x{j}" for j in range(1, 13))
+    short = "*".join([f"s{i}" for i in range(1, 12)] + [f"s{i}^-1" for i in range(1, 12)])
+    braid = random_reduced_word(12, 10240, random.Random("12:10240:0"))
+    for word in (short, str(braid)):
+        code, out = run_cli(capsys, "act", "--n", "12", word, product)
+        assert code == 0 and out.strip() == product
+
+
+# act on seeded inputs: (n, braid, free word, letters, sha256 of the output).
+ACT_GOLDEN = [
+    (3, "s1^2*s2^-2*s1*s2*s1*s2^-2*s1^-1*s2^-1*s1^2*s2^3", "x1*x2^2*x3*x2^2*x3^3", 89,
+     "c427384529345f07e0316c633fc9d8e9cae08afc01640202487e6160ce234d1c"),
+    (4, "s3*s1^-1*s3*s2^-1*s1*s2^-1*s1*s3^-3*s1*s3*s1^-1*s2*s1^2", "x2*x3^2*x2^-3*x1^3", 115,
+     "2eb9545e3f8edcdce4cc361e312f1fbc36fc217e980d23974e940066126c361a"),
+    (5, "s4*s2^-1*s3^3*s1^-1*s2*s1^-1*s2*s3^-1*s1*s2^-1*s4*s1*s2*s3^-1",
+     "x1^-2*x2^-3*x5^-1*x2^2*x4^-1", 137,
+     "72850b6fabf86b6de26e9a5a1265ecf95ae46e697a2bddba48a20e2665eaa3ca"),
+    (6, "s4^-2*s5^2*s2^-1*s1*s5^-1*s2*s3^-2*s4^-1*s3^-1*s5*s1*s2^-1*s3",
+     "x3^-2*x6^-2*x5*x1^2*x6^-2", 81,
+     "ed1b3768ebda686737cd5b8de8b6e27f6a7d8ce77a86e4e7dbf430fd39242005"),
+]
+
+
+@pytest.mark.parametrize("n, braid, word, letters, digest", ACT_GOLDEN)
+def test_act_golden(capsys, n, braid, word, letters, digest):
+    code, out = run_cli(capsys, "act", "--n", str(n), braid, word)
+    text = out.strip()
+    assert code == 0 and hashlib.sha256(text.encode()).hexdigest() == digest
+    assert sum(abs(e) for _, e in parse_free_word(text, n).letters) == letters
 
 
 def test_rewrite_pure(capsys):
@@ -358,9 +396,9 @@ def test_verdict_table_with_too_few_strands(tmp_path, capsys):
 # Tokens near the word grammar: letters of every alphabet and a stray one,
 # indices in and out of range, well-formed and broken exponents.  Exponents
 # stay small or pass the braid letter cap: a braid word of some 10^5 letters
-# would parse and then spend seconds in Garside.  act is left out, its cost
-# grows exponentially with the word; the default Dynnikov oracle of equal is
-# polynomial and runs.
+# would parse and then spend seconds in Garside.  The default Dynnikov oracle
+# of equal is polynomial and runs.  act applies a braid of a few letters to
+# one word a run at a time, so the exponent ^10000000000 costs it nothing.
 _INDICES = st.one_of(
     st.integers(-1, 13).map(str),
     st.tuples(st.integers(-1, 13), st.integers(-1, 13)).map(lambda p: f"({p[0]}, {p[1]})"),
@@ -413,6 +451,7 @@ def test_cli_fuzz_exits_with_documented_code(n, word, other, angle, entries, fam
             ["normalize", "--group", "fn", "--n", str(n), "--", word],
             ["equal", "--group", "bn", "--n", str(n), "--oracle", "garside", "--", word, other],
             ["equal", "--group", "bn", "--n", str(n), "--", word, other],
+            ["act", "--n", str(n), "--", word, other],
             ["rewrite-pure", "--n", str(n), "--", word],
             ["cocycle-build", "--n", str(n), f"--mu1={angle}"],
             ["verdict", "--cocycle", path, "--family", family],
