@@ -8,10 +8,10 @@ printed by :mod:`braidphase.freegroup`, and braid words are reduced there
 too.  :func:`equal` decides the word problem by comparing :func:`dynnikov`
 coordinates, integer vectors built in polynomial time.  The cross-check is
 :func:`garside_normal_form`, the left-greedy canonical form
-``Delta^p A_1 ... A_k`` (factors are permutation braids) computed by
-incremental left-weighting: words are equal exactly when their forms
-coincide.  Artin's action (:mod:`braidphase.artin`) is checked for
-faithfulness against Garside, in ``verify``, and decides nothing here.
+``Delta^p A_1 ... A_k`` (factors are permutation braids), built in one pass
+that appends each same-sign run as one factor: words are equal exactly when
+their forms coincide.  Artin's action (:mod:`braidphase.artin`) is checked
+for faithfulness against Garside, in ``verify``, and decides nothing here.
 
 The module also builds the standard pure-braid generators
 
@@ -304,7 +304,8 @@ class GarsideForm:
 
     def as_braid_word(self) -> BraidWord:
         positive = tuple((i, 1) for p in self.factors for i in p.reduced_word())
-        return BraidWord(self.strands, (delta(self.strands) ** self.power).letters + positive)
+        twist = (delta(self.strands) ** self.power).letters if self.power else ()
+        return BraidWord(self.strands, twist + positive)
 
     def __str__(self) -> str:
         out = f"D^{self.power}"
@@ -343,34 +344,48 @@ def _weight_pair(a: tuple[int, ...], b: tuple[int, ...]):
     return tuple(a), tuple(_inverse(binv))
 
 
+def _tau(f: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugation by Delta, s_j -> s_{n-j}, on an image: k -> n+1-f(n+1-k)."""
+    return tuple(len(f) + 1 - v for v in reversed(f))
+
+
 def garside_normal_form(b: BraidWord) -> GarsideForm:
     """Canonical left normal form, and the cross-check of :func:`equal`.
 
-    s_i^-1 = Delta^-1 (Delta s_i^-1), and moving Delta^-1 to the front
-    conjugates each factor it passes, which sends s_j to s_{n-j}.  The positive
-    factors, bare permutation tuples, are appended one at a time, and after
-    each one adjacent pairs are left-weighted from the right end leftward only
-    while they still change (incremental left-weighting: El-Rifai & Morton
-    1994; Epstein et al. 1992, ch. 9).  Delta factors gather at the front.
+    One pass reads the word as maximal same-sign runs that are permutation
+    braids, at O(n) a run: a positive one grows while s_i is not a right
+    descent of its image, a negative A^-1 = Delta^-1 (Delta A^-1) while i is
+    a descent of Delta A^-1, whose image starts at w0.  Each run is a factor,
+    left-weighted in from the right end while pairs change (El-Rifai & Morton
+    1994; Epstein et al. 1992, ch. 9).  Actual factors are tau^power of the
+    stored ones, tau being conjugation by Delta, so a Delta^-1, or a Delta the
+    sweep makes, moves to the front in O(1) plus tau of the visited factors.
     """
     n = b.strands
     identity, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
-    behind = flips = sum(e < 0 for _, e in b.letters)
     factors: list[tuple[int, ...]] = []
-    for i, e in b.letters:
-        behind -= e < 0  # the Delta^-1 strictly to the right of this letter
-        i = n - i if behind % 2 else i
-        image = list(identity if e > 0 else w0)
-        image[i - 1], image[i] = image[i], image[i - 1]
-        factors.append(tuple(image))
-        t = len(factors) - 1
-        while t and (pair := _weight_pair(factors[t - 1], factors[t])):
-            factors[t - 1 : t + 1] = pair
-            t -= 1
-        if factors[-1] == identity:
-            factors.pop()
-    power = next((k for k, f in enumerate(factors) if f != w0), len(factors))
-    return GarsideForm(n, power - flips, tuple(Permutation(f) for f in factors[power:]))
+    power, sign, run = 0, None, []
+    for i, e in (*b.letters, (0, 0)):  # (0, 0) ends the last run
+        j = n - i if power % 2 else i
+        if e != sign or (run[j - 1] > run[j]) == (e > 0):  # s_j would end the run
+            if sign:
+                factors.append(tuple(run))
+                t = len(factors) - 1
+                while factors[t] != w0 and t and (pair := _weight_pair(*factors[t - 1 : t + 1])):
+                    factors[t - 1 : t + 1] = pair
+                    t -= 1
+                if factors[t] == w0:
+                    del factors[t]
+                    factors[t:], power = map(_tau, factors[t:]), power + 1
+                if factors[-1:] == [identity]:
+                    factors.pop()
+            if not e:
+                break
+            sign, power = e, power - (e < 0)
+            run = list(identity if e > 0 else w0)
+            j = n - i if power % 2 else i
+        run[j - 1], run[j] = run[j], run[j - 1]
+    return GarsideForm(n, power, tuple(Permutation(_tau(f) if power % 2 else f) for f in factors))
 
 
 # ---------------------------------------------------------------------------

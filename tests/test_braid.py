@@ -165,18 +165,61 @@ def test_garside_examples():
         assert str(garside_normal_form(parse_braid_word(word, n))) == expected
 
 
-def test_garside_canonical_form_properties():
+def _garside_inputs():
+    """Seeded words: short random ones first, so that a broken sweep fails
+    fast; then ones with Delta^{+-k} and z^{+-1} put in at seeded places, long
+    same-sign runs and runs that are a whole Delta; then Delta^k s1 z^k."""
     rng = random.Random(7)
+    yield BraidWord(1)
     for _ in range(60):
         n = rng.randint(2, 8)
-        w = random_braid_word(n, rng.randint(0, 60), rng)
+        yield random_braid_word(n, rng.randint(0, 60), rng)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        d = delta(n)
+        other = BraidWord(n, tuple((i, 1) for i in Permutation.longest(n).reduced_word()))
+        pieces = [d, d.inverse(), d ** 2, d ** -3, center_z(n), center_z(n).inverse(), other,
+                  other.inverse()]
+        letters = list(random_braid_word(n, rng.randint(0, 40), rng).letters)
+        for _ in range(rng.randint(1, 4)):
+            sign = rng.choice((1, -1))
+            run = BraidWord(n, tuple((rng.randint(1, n - 1), sign) for _ in range(3 * n)))
+            cut = rng.randint(0, len(letters))
+            letters[cut:cut] = rng.choice(pieces + [run]).letters
+        yield BraidWord(n, tuple(letters))
+    for n in range(2, 8):
+        for k in range(-3, 4):
+            yield delta(n) ** k * BraidWord.generator(n, 1) * center_z(n) ** k
+
+
+def test_garside_canonical_form_properties():
+    for w in _garside_inputs():
         form = garside_normal_form(w)
-        w0 = Permutation.longest(n)
+        w0 = Permutation.longest(w.strands)
         for p in form.factors:
             assert not p.is_identity and p != w0
         for a, b in zip(form.factors, form.factors[1:]):
             assert b.left_descents() <= a.right_descents()
         assert equal(form.as_braid_word(), w)
+
+
+# Long forms of random_reduced_word(n, L, random.Random(0)), pinned by power,
+# factor count and the sha256 of their text.
+GARSIDE_GOLDEN_LONG = [
+    (4, 640, -115, 240, "3eae81adea7303ecc6f0f6fb8a3c11b4793b118a6867079992e8b9898eb9839c"),
+    (8, 640, -55, 114, "aee7ac28ce5fa0450614eaf85d8aea7b450207567ef1d2675695a8cd2e870810"),
+    (12, 640, -35, 70, "7ae2679ce7d784799a6118b3d7ae9456f26c27509608a79532bec5f2c7cac4a6"),
+    (4, 2560, -477, 961, "e4799d9a5000aeffdf0b84a0bfbfbf1a6e2736e7b5399c9af84b803e70d1ccc3"),
+    (8, 2560, -220, 454, "5e299fa0de180684deb97b24b6413acd576c1f02c3ae34460c09f17b34b7ebeb"),
+    (12, 2560, -148, 305, "18470261f45b6e73c03b6a88feb6cd4d1a405b4e5729de7e5753253d287cb346"),
+]
+
+
+@pytest.mark.parametrize("n, length, power, count, digest", GARSIDE_GOLDEN_LONG)
+def test_garside_golden_long(n, length, power, count, digest):
+    form = garside_normal_form(random_reduced_word(n, length, random.Random(0)))
+    assert (form.power, len(form.factors)) == (power, count)
+    assert hashlib.sha256(str(form).encode()).hexdigest() == digest
 
 
 def test_oracle_agreement_sample():

@@ -91,7 +91,7 @@ def test_equal(capsys):
 
 
 def test_equal_default_oracle_long_words(capsys):
-    # n = 12 and 10,240 letters: far out of the action's reach, and minutes of Garside
+    # n = 12 and 10,240 letters: far out of the action's reach, and seconds of Garside
     rng = random.Random(10240)
     left = list(random_reduced_word(12, 10240, rng).letters)
     right = left.copy()
