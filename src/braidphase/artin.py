@@ -31,6 +31,12 @@ images are conjugation by ``x1*x2``, as direct substitution confirms.
 
 The action is faithful; ``oracle-agreement`` checks it against Garside forms.
 Braid equality is decided by Dynnikov coordinates (:func:`braid.equal`).
+
+:func:`is_inner_for_pure` decides whether a pure braid acts by an inner
+automorphism.  Only the central powers ``z^k`` do, so the answer is one
+exponent-sum test and one call of :func:`braid.equal`; the ``inner-witness``
+check confirms each witness through :func:`apply_braid` and each None by a
+generator that does not commute with the braid.
 """
 
 from __future__ import annotations
@@ -119,55 +125,25 @@ def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:
     return FreeWord(word.rank, runs)
 
 
-def _minimal_conjugator(word: FreeWord, index: int) -> FreeWord | None:
-    """Shortest c with word == c^-1 * x_index * c, or None.
+def is_inner_for_pure(b: BraidWord) -> FreeWord | None:
+    """The w with auto(b)(y) = w^-1 * y * w for all y, or None if there is none.
 
-    Such a c is unique once it is forbidden from starting with a power of
-    x_index, and then the reduced word is literally the mirror pattern
-    ``c^-1 . x_index . c`` with no cancellation.
+    The kernel of B_n -> Out(F_n) is <z>, z = Delta^2, the centre of B_n from
+    three strands on (Birman 1974; Farb-Margalit 2012), so auto(b) is inner
+    exactly when b = z^k, and z^k conjugates by (x1...xn)^k.  The exponent
+    sum of z^k is n(n-1)k, so the exponent sum of b fixes k, and
+    :func:`braid.equal` decides b = z^k.  A None result is therefore a proof
+    that no witness exists.  For n >= 2 the witness is unique, since F_n has
+    trivial centre; on one strand the identity is returned.
     """
-    letters = word.letters
-    m = len(letters)
-    if m % 2 == 0:
-        return None
-    k = m // 2
-    if letters[k] != (index, 1):
-        return None
-    for t in range(k):
-        i, e = letters[t]
-        if letters[m - 1 - t] != (i, -e):
-            return None
-    return FreeWord(word.rank, letters[k + 1 :])
-
-
-def is_inner_for_pure(b: BraidWord, max_witness_length: int | None = None) -> FreeWord | None:
-    """Search for w with artin_auto(b)(y) = w^-1 * y * w for all y.
-
-    On two strands every pure braid acts by such a conjugation, and on any
-    number of strands the central powers do (the full twist conjugates by
-    x1...xn); a general pure braid merely sends each generator to a conjugate
-    of itself, by its own conjugator.  The search is over the one-parameter
-    family of candidates read off the image of x1 and returns None when no
-    witness of length at most ``max_witness_length`` (default twice the
-    input word length) works.  A None result means "not found within the
-    bound", never a proof of nonexistence.
-    """
-    from .braid import is_pure
+    from .braid import center_z, equal, is_pure
 
     if not is_pure(b):
         raise ValueError("braid word is not pure")
     n = b.strands
-    auto = artin_auto(b)
-    cutoff = max_witness_length if max_witness_length is not None else 2 * len(b.letters)
-    base = _minimal_conjugator(auto.images[0], 1)
-    if base is None:
+    if n == 1:
+        return FreeWord.identity(1)
+    k, rest = divmod(sum(sign for _, sign in b.letters), n * (n - 1))
+    if rest or not equal(b, center_z(n) ** k):
         return None
-    x1 = FreeWord.generator(n, 1)
-    gens = [FreeWord.generator(n, j) for j in range(1, n + 1)]
-    for k in sorted(range(-cutoff, cutoff + 1), key=lambda v: (abs(v), v < 0)):
-        witness = (x1 ** k) * base
-        if witness.length() > cutoff:
-            continue
-        if all(auto.images[j] == gens[j].conjugate_by(witness) for j in range(n)):
-            return witness
-    return None
+    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1))) ** k

@@ -72,7 +72,6 @@ __all__ = [
     "extend_pure",
     "restrict_to_pure",
     "sigma_regular",
-    "validate_omega",
     "center_element",
     "evaluate_conditions",
     "evaluate_braid_conditions",
@@ -406,11 +405,6 @@ class SemidirectElement:
         binv = self.braid.inverse()
         return SemidirectElement(artin.apply_braid(binv, self.free.inverse()), binv)
 
-    def conjugated_by_free(self, x: FreeWord) -> SemidirectElement:
-        """(x, e) * self * (x, e)^-1; the braid component is unchanged."""
-        acted = artin.apply_braid(self.braid, x.inverse())
-        return SemidirectElement(x * self.free * acted, self.braid)
-
     def commutes_with(self, other: SemidirectElement) -> bool:
         return self * other == other * self
 
@@ -463,7 +457,12 @@ class TwoCocycleSigmaPhi:
 
 @dataclass(frozen=True)
 class SigmaRegularReport:
-    """Discrepancies sigma(g, h) - sigma(h, g) over the supplied tests."""
+    """Discrepancies sigma(g, h) - sigma(h, g) over the supplied tests.
+
+    A nonzero discrepancy proves that g is not sigma-regular.  ``regular``
+    (every discrepancy zero) is a decision when g is central and the tests
+    generate the group, and otherwise holds only over the tests.
+    """
 
     regular: bool
     discrepancies: tuple[Angle, ...]
@@ -474,11 +473,14 @@ def sigma_regular(
     g: SemidirectElement,
     tests: Sequence[SemidirectElement],
 ) -> SigmaRegularReport:
-    """Probe sigma-regularity of g against commuting test elements.
+    """Compare sigma(g, h) with sigma(h, g) for test elements h commuting with g.
 
-    Every test element must commute with g (checked; violations raise).  The
-    element is flagged regular *with respect to the tests*; this is evidence,
-    not a proof over the whole centralizer.
+    Every test element must commute with g (checked; violations raise).  g is
+    sigma-regular when the two agree on its whole centralizer.  For central g,
+    h -> sigma(g, h) - sigma(h, g) is a character (Kleppner, "Multipliers on
+    abelian groups", Math. Ann. 158, 1965), so a test set that generates the
+    group, such as x1..xn, s1..s_{n-1}, decides regularity.  Any other test
+    set only witnesses it.
     """
     discrepancies = []
     for h in tests:
@@ -528,36 +530,13 @@ class TabulatedOmega:
         return self.values[key]
 
 
-def validate_omega(
-    omega: OmegaOracle, n: int, rng: random.Random, samples: int = 50
-) -> bool:
-    """Sample the normalized 2-cocycle identity for a callback oracle."""
-    e = PureWord.identity(n)
-    pairs = _pairs(n)
-
-    def random_word() -> PureWord:
-        letters = tuple(
-            (rng.choice(pairs), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))
-        )
-        return PureWord(n, letters)
-
-    for _ in range(samples):
-        a, b, c = random_word(), random_word(), random_word()
-        if omega(a, e) or omega(e, a):
-            return False
-        if omega(a, b) + omega(a * b, c) != omega(a, b * c) + omega(b, c):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class MackeyTwoCocycle:
     """sigma(xa, yb) = phi(a, y) + omega(a, b) on the semidirect tower group.
 
     ``phi`` is a pure 1-cocycle and ``omega`` an externally supplied
-    2-cocycle on the pure braid group (an evaluation callback; use
-    :func:`validate_omega` to sample-check a callback, or
-    :class:`TabulatedOmega` for finitely many pairs).
+    2-cocycle on the pure braid group, given as an evaluation callback such
+    as a :class:`TabulatedOmega` of finitely many pairs.
     """
 
     phi: PureOneCocycle

@@ -10,25 +10,24 @@ The module also owns the word syntax of all three alphabets the package
 uses, the free generators ``x<k>``, Artin's generators ``s<i>`` and the pure
 generators ``a(i,j)``: one token grammar reads words and cocycle labels, one
 printer writes words, and :func:`_reduce` is the one free reduction.
+
+Conjugacy orbits need no enumeration.  In ``F_n x| B_n`` the orbit of an
+element under conjugation by ``F_n`` is finite exactly when the element is
+central, ``center_element(n, k)`` of :mod:`braidphase.cocycle`: an
+automorphism of ``F_n`` that fixes a finite-index subgroup is the identity,
+because roots in a free group are unique.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ParseError, RankError
 from .phase import Angle
 
-__all__ = [
-    "FreeWord",
-    "Character",
-    "OrbitProbe",
-    "conjugate_orbit_probe",
-    "iter_reduced_words",
-    "parse_free_word",
-]
+__all__ = ["FreeWord", "Character", "parse_free_word"]
 
 
 def _reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -164,27 +163,6 @@ def parse_free_word(text: str, rank: int) -> FreeWord:
     return FreeWord(rank, _parse_word(text, "x"))
 
 
-def iter_reduced_words(rank: int, max_length: int) -> Iterator[FreeWord]:
-    """All reduced words of length <= max_length, shortest first.
-
-    Within one length the order is lexicographic in the unit letters, with
-    x1 < x1^-1 < x2 < x2^-1 < ...; the enumeration is deterministic.
-    """
-    yield FreeWord(rank)
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(max_length):
-        extended: list[tuple[tuple[int, int], ...]] = []
-        for word in frontier:
-            for idx in range(1, rank + 1):
-                for sign in (1, -1):
-                    if word and word[-1] == (idx, -sign):
-                        continue
-                    extended.append(word + ((idx, sign),))
-        for word in extended:
-            yield FreeWord(rank, word)
-        frontier = extended
-
-
 @dataclass(frozen=True)
 class Character:
     """A homomorphism from the free group to the circle, given on generators."""
@@ -200,53 +178,3 @@ class Character:
         if word.rank != self.rank:
             raise RankError(f"rank mismatch: {self.rank} vs {word.rank}")
         return Angle.combination((exp, self.values[idx - 1]) for idx, exp in word.letters)
-
-
-@dataclass(frozen=True)
-class OrbitProbe:
-    """Outcome of a bounded conjugacy-orbit enumeration.
-
-    This is a semi-decision: ``stabilized`` reports that every conjugator up
-    to the bound fixed the element, not that the conjugacy class is a
-    singleton.
-    """
-
-    size: int
-    stabilized: bool
-    samples: tuple[object, ...]
-
-
-def conjugate_orbit_probe(g, bound: int) -> OrbitProbe:
-    """Enumerate {x g x^-1 : |x| <= bound} with exact de-duplication.
-
-    ``g`` may be a :class:`FreeWord` (conjugation inside the free group) or a
-    semidirect-product element exposing ``free`` and ``conjugated_by_free``;
-    in the latter case conjugators range over the free normal subgroup.
-    """
-    if bound < 1:
-        raise ValueError("conjugator bound must be >= 1")
-    if isinstance(g, FreeWord):
-        rank = g.rank
-
-        def conjugate(x: FreeWord):
-            return x * g * x.inverse()
-
-        def key(h):
-            return h
-    else:
-        rank = g.free.rank
-        conjugate = g.conjugated_by_free
-
-        def key(h):
-            return h.free
-
-    seen: dict[object, object] = {}
-    samples: list[object] = []
-    for x in iter_reduced_words(rank, bound):
-        h = conjugate(x)
-        k = key(h)
-        if k not in seen:
-            seen[k] = h
-            if len(samples) < 5:
-                samples.append(h)
-    return OrbitProbe(size=len(seen), stabilized=len(seen) == 1, samples=tuple(samples))

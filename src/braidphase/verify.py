@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .artin import artin_auto
+from .artin import apply_braid, artin_auto, is_inner_for_pure
 from .braid import (
     BraidWord,
     _pairs,
@@ -117,6 +117,30 @@ def semidirect_center(rng: random.Random | None = None, *, n: int) -> str | None
     for h in _generators(n):
         if not g.commutes_with(h):
             return f"central element fails to commute with {h}"
+    return None
+
+
+def inner_witness(rng: random.Random, *, n: int, samples: int) -> str | None:
+    """is_inner_for_pure on ``samples`` pure braids, every other one a central
+    power c z^k c^-1 in disguise.  Each witness w must conjugate every x_j as
+    the braid does, by apply_braid; each None needs a generator s_i that does
+    not commute with the braid, since the s_i generate B_n."""
+    z = center_z(n)
+    xs = [FreeWord.generator(n, j) for j in range(1, n + 1)]
+    ss = [BraidWord.generator(n, i) for i in range(1, n)]
+    for t in range(samples):
+        if t % 2 == 0:
+            c = random_braid_word(n, rng.randint(0, 8), rng)
+            b = c * z ** rng.randint(-2, 2) * c.inverse()
+        else:
+            b = random_pure_braid_word(n, 24, rng)
+        w = is_inner_for_pure(b)
+        if w is not None:
+            for x in xs:
+                if apply_braid(b, x) != x.conjugate_by(w):
+                    return f"{w} does not conjugate {x} as {b} acts on it"
+        elif all(equal(b * s, s * b) for s in ss):
+            return f"no witness for {b}, which commutes with every generator"
     return None
 
 
@@ -305,6 +329,9 @@ def z_relation(rng: random.Random, *, n: int, samples: int) -> str | None:
 
 
 def kleppner_probe(rng: random.Random | None = None, *, n: int) -> str | None:
+    """sigma-regularity of central powers, tested against x1..xn, s1..s_{n-1}.
+    For central g the discrepancy h -> sigma(g, h) - sigma(h, g) is a
+    character (Kleppner, Math. Ann. 158, 1965), so these generators decide."""
     tests = _generators(n)
     torsion = build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 8))
     d = mu_phi(torsion).torsion_order()
@@ -469,6 +496,9 @@ REGISTRY = (
     ("semidirect-center.n{n}", "braid",
      "x1...xn z is central in the semidirect product",
      semidirect_center, _sizes(2, 6)),
+    ("inner-witness.n{n}", "braid",
+     "a pure braid acts by an inner automorphism exactly when it is a power of the full twist",
+     inner_witness, _sizes(2, 6, samples=20)),
     ("remark-a3", "braid",
      "(t1 t2)^2 = (t2 t1)^2 for t1 = s1, t2 = s2^2 in B_3",
      remark_a3, _once),

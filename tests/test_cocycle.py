@@ -44,10 +44,9 @@ from braidphase.cocycle import (
     sigma_regular,
     similar_braid_cocycles,
     validate_braid_cocycle,
-    validate_omega,
 )
 from braidphase.errors import MissingOmegaError, RankError
-from braidphase.freegroup import Character, FreeWord, conjugate_orbit_probe
+from braidphase.freegroup import Character, FreeWord
 from braidphase.phase import Angle, parse_angle
 
 TH1 = Angle.symbol("th1")
@@ -636,12 +635,6 @@ def test_sigma_regular_rejects_noncommuting_tests():
         sigma_regular(TwoCocycleSigmaPhi(c), g, [h])
 
 
-def test_orbit_probe_on_semidirect_center():
-    for n in (2, 3):
-        probe = conjugate_orbit_probe(center_element(n), 2)
-        assert probe.size == 1 and probe.stabilized
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -722,27 +715,6 @@ def test_mackey_verdicts():
     missing = TabulatedOmega(n, {})
     with pytest.raises(MissingOmegaError):
         evaluate_conditions("mackey", flat, missing)
-
-
-def test_validate_omega_sampling():
-    rng = random.Random(71)
-    assert validate_omega(lambda u, v: Angle.zero(), 3, rng)
-    f = Character(3, (Angle.rational(1, 3), Angle.rational(1, 5), Angle.zero()))
-
-    def bilinear(u: PureWord, v: PureWord) -> Angle:
-        # omega(u, v) = weight(u) * weight(v) with additive weights is a
-        # genuine 2-cocycle (it is a bilinear form on the abelianization)
-        def weight(w: PureWord) -> int:
-            return sum(e for _, e in w.letters)
-
-        return Angle.rational(1, 7).scale(weight(u) * weight(v))
-
-    assert validate_omega(bilinear, 3, rng)
-
-    def broken(u: PureWord, v: PureWord) -> Angle:
-        return Angle.rational(len(u.letters) * len(v.letters), 5)
-
-    assert not validate_omega(broken, 3, random.Random(72))
 
 
 def test_verdict_json_shape():

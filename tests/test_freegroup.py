@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidphase.errors import RankError
-from braidphase.freegroup import (
-    Character,
-    FreeWord,
-    conjugate_orbit_probe,
-    iter_reduced_words,
-    parse_free_word,
-)
+from braidphase.freegroup import Character, FreeWord, parse_free_word
 from braidphase.phase import Angle
 
 
@@ -104,35 +98,6 @@ def test_char_is_homomorphism_and_kills_conjugation():
         v = FreeWord(3, letters[len(letters) // 2 :])
         assert f(u * v) == f(u) + f(v)
         assert f(u.conjugate_by(v)) == f(u)
-
-
-def test_word_enumeration_is_length_lex():
-    seen = list(iter_reduced_words(2, 2))
-    assert seen[0].is_identity
-    lengths = [w.length() for w in seen]
-    assert lengths == sorted(lengths)
-    assert len(seen) == 1 + 4 + 12  # 2n(2n-1)^(L-1) reduced words per length
-    assert len(set(seen)) == len(seen)
-
-
-def test_orbit_probe_examples():
-    # central-style element: identity has a singleton orbit
-    probe = conjugate_orbit_probe(FreeWord.identity(2), 3)
-    assert probe.size == 1 and probe.stabilized
-    # x1 in F_2 has many distinct conjugates already at bound 3
-    probe = conjugate_orbit_probe(FreeWord.generator(2, 1), 3)
-    assert probe.size >= 3 and not probe.stabilized
-    # independent oracle: enumerate conjugates x g x^-1 by hand
-    g = FreeWord.generator(2, 1)
-    expected = set()
-    for x in iter_reduced_words(2, 3):
-        expected.add(x * g * x.inverse())
-    assert probe.size == len(expected)
-
-
-def test_orbit_probe_requires_positive_bound():
-    with pytest.raises(ValueError):
-        conjugate_orbit_probe(FreeWord.identity(2), 0)
 
 
 def test_parse_print_roundtrip():

@@ -1,4 +1,7 @@
+import hashlib
+
 from braidphase import verify
+from braidphase.cli import main
 
 # Every check ``braidphase verify --max-n 6`` runs, with its suite.
 REGISTRY_AT_6 = [
@@ -40,6 +43,11 @@ REGISTRY_AT_6 = [
     ("dynnikov-agreement.n4", "braid"),
     ("dynnikov-agreement.n5", "braid"),
     ("dynnikov-agreement.n6", "braid"),
+    ("inner-witness.n2", "braid"),
+    ("inner-witness.n3", "braid"),
+    ("inner-witness.n4", "braid"),
+    ("inner-witness.n5", "braid"),
+    ("inner-witness.n6", "braid"),
     ("kleppner-probe.n3", "cocycle"),
     ("kleppner-probe.n4", "cocycle"),
     ("oracle-agreement", "braid"),
@@ -74,3 +82,15 @@ REGISTRY_AT_6 = [
 
 def test_verify_registry_ids():
     assert sorted((c.id, c.suite) for c in verify.build_checks(6)) == REGISTRY_AT_6
+
+
+# sha256 of the stdout of ``braidphase verify --suite all --seed 0 --max-n 6``,
+# without timings.  Any change to a check's seeded inputs, outcome, id or
+# citation moves it.
+VERIFY_REPORT_SHA256 = "d8d00d022af21abf0383fd1c27cdfc5d2590fdc0aee2d740acef5a642e2b10ee"
+
+
+def test_verify_report_golden(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "0", "--max-n", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256
