@@ -41,7 +41,7 @@ import statistics
 import subprocess
 import sys
 
-ORACLES = ("dynnikov", "garside", "artin")
+ORACLES = ("dynnikov", "garside")
 STRANDS = (4, 8, 12)
 LENGTHS = (40, 160, 640, 2560, 10240)
 SEEDS = (0, 1, 2)

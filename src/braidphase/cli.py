@@ -47,7 +47,6 @@ from .cocycle import (
 from .errors import MissingOmegaError, ParseError, RankError
 from .freegroup import parse_free_word
 from .phase import parse_angle
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -157,6 +156,8 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify  # loaded here: no other subcommand needs the checks
+
     report = run_verify(args.suite, args.seed, args.max_n, args.timings)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_CHECK_FAILED

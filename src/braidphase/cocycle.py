@@ -255,20 +255,12 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
     for i in range(1, n):
         values.append(values[-1] + (c1.entry(i, i) - c2.entry(i, i)))
     witness = Character(n, tuple(values))
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            diff = c1.entry(i, j) - c2.entry(i, j)
-            if j == i:
-                expected = values[i] - values[i - 1]
-            elif j == i + 1:
-                expected = values[i - 1] - values[i]
-            else:
-                expected = Angle.zero()
-            if diff != expected:
-                raise ValueError(
-                    "matching parameters but witness equation fails; "
-                    "are both tables valid cocycles?"
-                )
+    for row1, row2, row in zip(c1.table, c2.table, coboundary_of_character(witness).table):
+        if any(a - b != h for a, b, h in zip(row1, row2, row)):
+            raise ValueError(
+                "matching parameters but witness equation fails; "
+                "are both tables valid cocycles?"
+            )
     return witness
 
 

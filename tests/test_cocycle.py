@@ -332,6 +332,21 @@ def test_similarity_iff_parameters_agree():
                 assert similar_braid_cocycles(c1, other2) is None
 
 
+def test_similarity_rejects_invalid_table_with_equal_parameters():
+    # an off-band entry enters neither (mu1, mu2) nor the witness recurrence,
+    # so only the witness check against the coboundary can see it bumped
+    rng = random.Random(12)
+    for n in (3, 4, 5):
+        c = random_braid_cocycle(n, rng)
+        rows = [list(row) for row in c.table]
+        i, j = (2, 1) if n == 3 else (2, 4)
+        rows[i - 1][j - 1] += Angle.symbol("bump")
+        bumped = BraidOneCocycle(n, tuple(tuple(row) for row in rows))
+        assert mu_params(bumped) == mu_params(c)
+        with pytest.raises(ValueError, match="witness equation fails"):
+            similar_braid_cocycles(c, bumped)
+
+
 def test_coboundary_characterization():
     rng = random.Random(19)
     for n in (2, 3, 4, 5):

@@ -1,6 +1,7 @@
 import hashlib
+import random
 
-from braidphase import verify
+from braidphase import artin, verify
 from braidphase.cli import main
 
 # Every check ``braidphase verify --max-n 6`` runs, with its suite.
@@ -94,3 +95,15 @@ def test_verify_report_golden(capsys):
     assert main(["verify", "--suite", "all", "--seed", "0", "--max-n", "6"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256
+
+
+def test_action_checks_run_the_action_callers_use(monkeypatch):
+    # s_i only swapping x_i and x_{i+1} (a reduced word stays reduced): the
+    # action's one step loses its conjugation, and the checks that hold the
+    # action to the centre and to Garside forms must both see it
+    def swap(runs, i, sign):
+        return tuple((i + 1 if k == i else i if k == i + 1 else k, e) for k, e in runs)
+
+    monkeypatch.setattr(artin, "_substitute", swap)
+    assert verify.center_action(n=3) is not None
+    assert verify.oracle_agreement(random.Random(0), max_n=4) is not None
