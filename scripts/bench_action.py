@@ -1,7 +1,7 @@
 """Scaling curve of ``braidphase act`` and ``braidphase rewrite-pure``.
 
 ``python scripts/bench_action.py --before OLD/src --after src --out BENCH_9.json``
-    Times three commands through ``braidphase.cli.main`` over n in {4, 8, 12}
+    Times four commands through ``braidphase.cli.main`` over n in {4, 8, 12}
     and L in {40, 160, 640, 2560, 10240}, on the two source trees side by
     side, with the child processes, timeout, memory limit and scaling loop of
     ``scripts/bench_equal.py`` (see there; import ``braidphase`` as it says).
@@ -14,7 +14,11 @@
       freely reduced on parsing, to about 0.8 L letters on average;
     * ``rewrite-pure`` of the first word of the seeded pair (n, L) closed up
       to a pure braid by a permutation braid; its output is checked by the
-      two trees printing the same text.
+      two trees printing the same text;
+    * ``act`` of s1^L on x1, with L the exponent (the same call for each
+      seed), checked against the closed form x1 conjugated by (x1*x2)^(L/2),
+      built by free-word arithmetic; the output has 2L + 1 letters, so the
+      curve shows whether a braid run costs its output or its square.
 """
 
 from __future__ import annotations
@@ -63,6 +67,16 @@ def rewrite_pure_call(n: int, length: int, seed: int) -> dict:
             "expect": None}
 
 
+def act_of_power(n: int, length: int, seed: int) -> dict:
+    from braidphase.freegroup import FreeWord
+
+    half = FreeWord(n, ((1, 1), (2, 1))) ** (length // 2)
+    x = FreeWord.generator(n, 1 if length % 2 == 0 else 2)
+    return {"warm_up": ["act", "--n", "3", "s1", "x1"],
+            "argv": ["act", "--n", str(n), f"s1^{length}", "x1"],
+            "expect": str(x.conjugate_by(half))}
+
+
 def main(argv=None) -> int:
     parser = scaling_parser(__doc__.split("\n\n")[0])
     args = parser.parse_args(argv)
@@ -70,7 +84,8 @@ def main(argv=None) -> int:
                   "of 3 seeded inputs, ms",
                   [({"command": "act x1*...*xn"}, act_on_product),
                    ({"command": "act u*v^-1 on 6 letters"}, act_of_identity),
-                   ({"command": "rewrite-pure"}, rewrite_pure_call)])
+                   ({"command": "rewrite-pure"}, rewrite_pure_call),
+                   ({"command": "act s1^L on x1"}, act_of_power)])
     return 0
 
 

@@ -8,7 +8,8 @@ package, or put its ``src`` on ``PYTHONPATH``):
     either tree's ``--oracle`` offers (one a tree lacks is recorded there as
     null), over n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, on the
     two source trees side by side.  A case is the median of three seeded
-    equal pairs, each pair timed in its own fresh child process.  A case in
+    equal pairs, each pair timed, best of five calls, in its own fresh child
+    process.  A case in
     which one call runs out of TIMEOUT_S seconds is recorded as "timeout",
     and one that runs out of the MEMORY_MB address-space limit as "memory";
     the longer words of that oracle and n are then not run and are recorded
@@ -47,9 +48,15 @@ LENGTHS = (40, 160, 640, 2560, 10240)
 SEEDS = (0, 1, 2)
 TIMEOUT_S = 60
 MEMORY_MB = 1024  # keeps the action's exponential images off a shared machine
+# A child times the best of REPEATS calls, fewer once the calls have taken
+# REPEAT_S seconds: one call per input moved a case by up to 25% on a shared
+# 2-vCPU VM, and a call of seconds is steady on its own.
+REPEATS = 5
+REPEAT_S = 10
 METHOD = (
     "Each seeded input is timed in a fresh child process per tree: one warm-up "
-    "call, then one call to braidphase.cli.main, timed. 'timeout' and 'memory' "
+    "call, then the best of 5 calls to braidphase.cli.main, fewer once the "
+    "calls have taken 10 s. 'timeout' and 'memory' "
     "mark a case in which one such child ran out of timeout_s or "
     "memory_limit_mb; longer words of that command and n are then not run and "
     "carry the same mark. null: the tree has no such choice (an --oracle)."
@@ -78,10 +85,10 @@ def equal_call(oracle: str, n: int, length: int, seed: int) -> dict:
 
 
 def run_case(src: str) -> None:
-    """Child process: time one call of ``braidphase.cli.main`` read from
-    standard input as JSON {"warm_up": argv, "argv": argv, "expect": text or
-    null}; print [seconds, sha256 of the output], "memory", or null when the
-    tree rejects the warm-up's arguments (it has no such choice)."""
+    """Child process: time the best of REPEATS calls of ``braidphase.cli.main``
+    read from standard input as JSON {"warm_up": argv, "argv": argv, "expect":
+    text or null}; print [seconds, sha256 of the output], "memory", or null
+    when the tree rejects the warm-up's arguments (it has no such choice)."""
     import hashlib
     import resource
     import time
@@ -98,19 +105,21 @@ def run_case(src: str) -> None:
     except SystemExit:  # argparse: no such choice in this tree
         print(json.dumps(None))
         return
-    try:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            start = time.perf_counter()
-            code = main(call["argv"])
-            seconds = time.perf_counter() - start
-        text = out.getvalue().strip()
-    except MemoryError:
-        print(json.dumps("memory"))
-        return
+    times: list[float] = []
+    while len(times) < REPEATS and sum(times) < REPEAT_S:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                start = time.perf_counter()
+                code = main(call["argv"])
+                times.append(time.perf_counter() - start)
+            text = out.getvalue().strip()
+        except MemoryError:
+            print(json.dumps("memory"))
+            return
     if code != 0 or call["expect"] not in (None, text):
         argv = call["argv"]
         raise SystemExit(f"{argv[0]} --n {argv[argv.index('--n') + 1]}: wrong answer")
-    print(json.dumps([seconds, hashlib.sha256(text.encode()).hexdigest()]))
+    print(json.dumps([min(times), hashlib.sha256(text.encode()).hexdigest()]))
 
 
 def measure(src: str, calls: list[dict]) -> tuple[object, list | None]:

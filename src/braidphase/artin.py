@@ -12,16 +12,16 @@ and the action extends to braid words so that ``auto(a) . auto(b) = auto(ab)``
 ``(x, a)(y, b) = (x * a(y), ab)`` used in :mod:`braidphase.cocycle`.
 
 :func:`apply_braid` computes ``auto(l_1 ... l_L)(w) = auto(l_1)(...
-auto(l_L)(w))`` on the one word, letters right to left.  A letter maps each
-``(index, exponent)`` run of the reduced word to at most three runs, such as
-``x_{i+1}^e -> x_{i+1}^-1 x_i^e x_{i+1}`` under ``s_i``, so a step costs the
-word's length in runs whatever its exponents; the word can still grow
-exponentially in L, as images under pseudo-Anosov braids do.
+auto(l_L)(w))`` on the one word, right to left, one step per run ``s_i^e``:
+``s_i`` maps each ``(index, exponent)`` run of the word to at most three runs,
+and ``s_i^2`` conjugates x_i and x_{i+1} by ``c = x_i x_{i+1}`` and fixes the
+rest (Birman 1974).  A step costs the word's length in runs plus O(|e|) per
+segment of x_i, x_{i+1}; the word can still grow exponentially in L.
 
-Worked n = 2 example: ``apply_braid(s1*s1, x1)`` applies the right-hand
-``s1`` first, giving ``x2``, then the left one, giving ``x2^-1*x1*x2``.
-Every braid fixes ``x1*x2``, so ``x2`` goes to ``x2^-1*x1^-1*x2*x1*x2``:
-both images are conjugation by ``x1*x2``.
+Worked n = 2 example: letter by letter, ``s1*s1`` sends ``x1`` to ``x2``
+and then to ``x2^-1*x1*x2``, and ``x2`` to ``x2^-1*x1^-1*x2*x1*x2``: both
+images are conjugation by ``c = x1*x2``, so ``apply_braid`` reads ``s1*s1``
+as the one run ``s1^2`` and wraps the word in ``c^-1 ... c`` in one step.
 
 :func:`artin_auto` is the automorphism with generator images
 ``apply_braid(b, x_j)``.
@@ -79,27 +79,42 @@ class FreeAutomorphism:
         return FreeWord(self.rank, raw)
 
 
-def _substitute(runs, i: int, sign: int) -> tuple[tuple[int, int], ...]:
-    """The reduced runs of auto(s_i^sign)(w), for w given by its runs."""
+def _substitute(runs, i: int, e: int) -> tuple[tuple[int, int], ...]:
+    """The reduced runs of auto(s_i^e)(w), for w given by its runs, in one
+    step of O(runs + |m| per segment) for e = 2m + r, r in {-1, 0, 1} of e's sign:
+    s_i^r is the one-letter substitution, and (s_i^2)^m wraps each maximal
+    segment of letters x_i, x_{i+1} as c^-m * segment * c^m, c = x_i x_{i+1}."""
     j = i + 1
+    m, r = (e // 2, e % 2) if e > 0 else (-(-e // 2), -(-e % 2))
+    c, c_inv = ((i, 1), (j, 1)), ((j, -1), (i, -1))
+    c_m, c_minus_m = (c * m, c_inv * m) if m > 0 else (c_inv * -m, c * -m)
     out: list[tuple[int, int]] = []
-    for idx, exp in runs:
-        if idx == i:  # x_i^e -> x_{i+1}^e, or x_i x_{i+1}^e x_i^-1
-            out += ((j, exp),) if sign == 1 else ((i, 1), (j, exp), (i, -1))
-        elif idx == j:  # x_{i+1}^e -> x_{i+1}^-1 x_i^e x_{i+1}, or x_i^e
-            out += ((j, -1), (i, exp), (j, 1)) if sign == 1 else ((i, exp),)
-        else:
-            out.append((idx, exp))
+    inside = False  # in a segment of letters x_i, x_{i+1}
+    for run in (*runs, (0, 0)):  # (0, 0) closes a last segment; _reduce drops it
+        idx, exp = run
+        if idx != i and idx != j:
+            out += c_m if inside else ()
+            out.append(run)
+            inside = False
+            continue
+        out += () if inside else c_minus_m
+        inside = True
+        if not r:
+            out.append(run)
+        elif idx == i:  # x_i^e -> x_{i+1}^e, or x_i x_{i+1}^e x_i^-1
+            out += ((j, exp),) if r == 1 else ((i, 1), (j, exp), (i, -1))
+        else:  # x_{i+1}^e -> x_{i+1}^-1 x_i^e x_{i+1}, or x_i^e
+            out += ((j, -1), (i, exp), (j, 1)) if r == 1 else ((i, exp),)
     return _reduce(out)
 
 
 def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:
-    """auto(b)(word), with the letters of b applied to the word right to left."""
+    """auto(b)(word), with the runs s_i^e of b applied to the word right to left."""
     if word.rank != b.strands:
         raise RankError(f"rank mismatch: {b.strands} vs {word.rank}")
     runs = word.letters
-    for i, sign in reversed(b.letters):
-        runs = _substitute(runs, i, sign)
+    for i, e in reversed(_reduce(b.letters)):
+        runs = _substitute(runs, i, e)
     return FreeWord(word.rank, runs)
 
 

@@ -31,18 +31,15 @@ __all__ = ["FreeWord", "Character", "parse_free_word"]
 
 
 def _reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Freely reduce (index, exponent) pairs, keeping a pair that merges with none."""
     stack: list[tuple[int, int]] = []
-    for idx, exp in letters:
-        idx, exp = int(idx), int(exp)
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == idx:
-            merged = stack[-1][1] + exp
-            stack.pop()
-            if merged:
-                stack.append((idx, merged))
-        else:
-            stack.append((idx, exp))
+    for letter in letters:
+        if stack and stack[-1][0] == letter[0]:
+            exp = stack.pop()[1] + letter[1]
+            if exp:
+                stack.append((letter[0], exp))
+        elif letter[1]:
+            stack.append(letter)
     return tuple(stack)
 
 
@@ -56,7 +53,7 @@ class FreeWord:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise RankError(f"rank must be positive, got {self.rank}")
-        reduced = _reduce(self.letters)
+        reduced = _reduce(map(tuple, self.letters))
         for idx, _ in reduced:
             if not 1 <= idx <= self.rank:
                 raise RankError(f"generator x{idx} out of range for rank {self.rank}")

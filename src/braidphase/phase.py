@@ -41,9 +41,7 @@ class Angle:
 
     def __post_init__(self) -> None:
         merged: dict[str, int] = {}
-        for name, coeff in self.syms:
-            if not _SYMBOL_RE.match(name):
-                raise ValueError(f"bad symbol name {name!r}")
+        for name, coeff in self.syms:  # names are checked by symbol and parse_angle
             merged[name] = merged.get(name, 0) + int(coeff)
         object.__setattr__(self, "frac", Fraction(self.frac) % 1)
         object.__setattr__(
@@ -60,6 +58,8 @@ class Angle:
 
     @classmethod
     def symbol(cls, name: str, coeff: int = 1) -> Angle:
+        if not _SYMBOL_RE.match(name):
+            raise ValueError(f"bad symbol name {name!r}")
         return cls(Fraction(0), ((name, coeff),))
 
     @classmethod

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from braidphase.artin import FreeAutomorphism, apply_braid, artin_auto, is_inner_for_pure
+from braidphase.artin import (
+    FreeAutomorphism,
+    _substitute,
+    apply_braid,
+    artin_auto,
+    is_inner_for_pure,
+)
 from braidphase.braid import (
     BraidWord,
     center_z,
@@ -172,3 +178,53 @@ def test_is_inner_semidecision_on_non_inner_input():
         b = c * b * c.inverse()
         assert is_inner_for_pure(b) is None
         assert not all(equal(b * s, s * b) for s in (BraidWord.generator(3, i) for i in (1, 2)))
+
+
+# Run exponents -7..8 without 0: +-1, even and odd, each drawn equally often.
+RUN_EXPONENTS = [e for e in range(-7, 9) if e]
+
+
+def _random_letters(rng, gens, count):
+    return [(rng.choice(gens), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(count)]
+
+
+def _word_for_run(rng, n, i, kind):
+    """A free word of one of three kinds for the run s_i^e: its letters
+    x_i, x_{i+1} at both ends ("ends"), none of them ("none"), or any."""
+    pair = [i, i + 1]
+    others = [k for k in range(1, n + 1) if k not in pair]
+    if kind == "ends":
+        letters = (_random_letters(rng, pair, rng.randint(1, 3))
+                   + _random_letters(rng, others, rng.randint(1, 3) if others else 0)
+                   + _random_letters(rng, pair, rng.randint(1, 3)))
+    elif kind == "none":
+        letters = _random_letters(rng, others, rng.randint(0, 6)) if others else []
+    else:
+        letters = _random_letters(rng, list(range(1, n + 1)), rng.randint(0, 8))
+    return FreeWord(n, tuple(letters))
+
+
+def test_run_step_matches_letter_at_a_time():
+    # one step per run s_i^e against the generator formulas applied |e| times
+    rng = random.Random(14)
+    kinds = ("ends", "none", "any")
+    for k in range(3 * len(RUN_EXPONENTS) * 8):  # 360 (run, word) pairs
+        n = rng.randint(2, 6)
+        i, e = rng.randint(1, n - 1), RUN_EXPONENTS[k % len(RUN_EXPONENTS)]
+        w = _word_for_run(rng, n, i, kinds[k % 3])
+        expected = substitute(BraidWord(n, ((i, e),)), w)
+        assert _substitute(w.letters, i, e) == expected.letters, (n, i, e, str(w))
+        b = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice(RUN_EXPONENTS))
+                               for _ in range(rng.randint(0, 4))))
+        assert apply_braid(b, w) == substitute(b, w), (str(b), str(w))
+
+
+def test_run_step_closed_forms():
+    # s_i^2 conjugates x_i and x_{i+1} by c = x_i x_{i+1}, and s_i fixes c
+    for n, i in ((2, 1), (3, 2), (6, 3)):
+        x, y = FreeWord.generator(n, i), FreeWord.generator(n, i + 1)
+        c = x * y
+        for m in (-10_000, -9_999, -7, -1, 0, 1, 2, 7, 9_999, 10_000):
+            assert apply_braid(BraidWord(n, ((i, 2 * m),)), x) == x.conjugate_by(c ** m)
+            assert apply_braid(BraidWord(n, ((i, 2 * m + 1),)), x) == y.conjugate_by(c ** m)
+            assert apply_braid(BraidWord(n, ((i, 2 * m),)), c) == c

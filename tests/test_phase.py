@@ -114,3 +114,16 @@ def test_parse_examples():
         parse_angle("th1*2")
     with pytest.raises(ParseError):
         parse_angle("1/0")
+
+
+def test_symbol_names_are_checked_where_they_enter():
+    # Angle.symbol and parse_angle check each name; arithmetic only
+    # recombines names that were checked, so Angle itself does not
+    with pytest.raises(ValueError, match="bad symbol name '1x'"):
+        Angle.symbol("1x")
+    for text, message in [("1x", "bad term '1x' in angle '1x'"),
+                          ("2*1x", "bad term '2\\*1x' in angle '2\\*1x'"),
+                          ("a.b", "bad term 'a.b' in angle 'a.b'"),
+                          ("x-", "cannot parse angle 'x-'")]:
+        with pytest.raises(ParseError, match=message):
+            parse_angle(text)
