@@ -8,8 +8,9 @@ package, or put its ``src`` on ``PYTHONPATH``):
     either tree's ``--oracle`` offers (one a tree lacks is recorded there as
     null), over n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, on the
     two source trees side by side.  A case is the median of three seeded
-    equal pairs, each pair timed, best of five calls, in its own fresh child
-    process.  A case in
+    equal pairs, each pair timed, best of five samples, in its own fresh
+    child process; a sample of a call under 1 ms is the time per call of a
+    loop of calls lasting at least 20 ms.  A case in
     which one call runs out of TIMEOUT_S seconds is recorded as "timeout",
     and one that runs out of the MEMORY_MB address-space limit as "memory";
     the longer words of that oracle and n are then not run and are recorded
@@ -20,7 +21,9 @@ package, or put its ``src`` on ``PYTHONPATH``):
 
 ``scripts/bench_action.py`` times ``act`` and ``rewrite-pure`` the same way,
 through this script's child processes and scaling loop, which also require
-both trees to print the same output for every input they both finish.
+both trees to print the same output for every input they both finish;
+``scripts/bench_cocycle.py`` times ``cocycle.extend`` with the same loop and
+timing, in children of its own.
 
 A pair is a random word of L letters, none next to its inverse, and the same
 word with four relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1 put in at
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -41,6 +45,7 @@ import random
 import statistics
 import subprocess
 import sys
+import time
 
 ORACLES = ("dynnikov", "garside")
 STRANDS = (4, 8, 12)
@@ -48,15 +53,20 @@ LENGTHS = (40, 160, 640, 2560, 10240)
 SEEDS = (0, 1, 2)
 TIMEOUT_S = 60
 MEMORY_MB = 1024  # keeps the action's exponential images off a shared machine
-# A child times the best of REPEATS calls, fewer once the calls have taken
+# A child times the best of REPEATS samples, fewer once the calls have taken
 # REPEAT_S seconds: one call per input moved a case by up to 25% on a shared
-# 2-vCPU VM, and a call of seconds is steady on its own.
+# 2-vCPU VM, and a call of seconds is steady on its own.  A sample of a call
+# under SHORT_S times a loop of calls lasting LOOP_S and takes the time per
+# call: single sub-millisecond calls moved by up to 37% between two runs.
 REPEATS = 5
 REPEAT_S = 10
+SHORT_S = 0.001
+LOOP_S = 0.02
 METHOD = (
     "Each seeded input is timed in a fresh child process per tree: one warm-up "
-    "call, then the best of 5 calls to braidphase.cli.main, fewer once the "
-    "calls have taken 10 s. 'timeout' and 'memory' "
+    "call, then the best of 5 samples, fewer once the calls have taken 10 s; "
+    "a sample is one call, or for a call under 1 ms the time per call of a "
+    "loop of calls lasting at least 20 ms. 'timeout' and 'memory' "
     "mark a case in which one such child ran out of timeout_s or "
     "memory_limit_mb; longer words of that command and n are then not run and "
     "carry the same mark. null: the tree has no such choice (an --oracle)."
@@ -84,19 +94,40 @@ def equal_call(oracle: str, n: int, length: int, seed: int) -> dict:
             "expect": "true"}
 
 
-def run_case(src: str) -> None:
-    """Child process: time the best of REPEATS calls of ``braidphase.cli.main``
-    read from standard input as JSON {"warm_up": argv, "argv": argv, "expect":
-    text or null}; print [seconds, sha256 of the output], "memory", or null
-    when the tree rejects the warm-up's arguments (it has no such choice)."""
-    import hashlib
-    import resource
-    import time
+def best_time(call) -> tuple[float, object]:
+    """Seconds per call of ``call()``, the best of REPEATS samples (fewer once
+    the calls have taken REPEAT_S seconds), and the value of its last call.
+    A sample is one call, or for a call under SHORT_S the time per call of a
+    loop of calls lasting at least LOOP_S."""
+    samples, spent = [], 0.0
+    while len(samples) < REPEATS and spent < REPEAT_S:
+        count, elapsed, start = 0, 0.0, time.perf_counter()
+        while count == 0 or elapsed < LOOP_S and elapsed < SHORT_S * count:
+            value = call()
+            count += 1
+            elapsed = time.perf_counter() - start
+        samples.append(elapsed / count)
+        spent += elapsed
+    return min(samples), value
 
-    call = json.load(sys.stdin)
+
+def child_setup(src: str) -> None:
+    """Child process: cap the address space at MEMORY_MB and put src first
+    on the import path."""
+    import resource
+
     limit = MEMORY_MB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, src)
+
+
+def run_case(src: str) -> None:
+    """Child process: time calls of ``braidphase.cli.main`` by best_time, read
+    from standard input as JSON {"warm_up": argv, "argv": argv, "expect":
+    text or null}; print [seconds, sha256 of the output], "memory", or null
+    when the tree rejects the warm-up's arguments (it has no such choice)."""
+    call = json.load(sys.stdin)
+    child_setup(src)
     from braidphase.cli import main
 
     try:  # also fills the lazy caches: parser, token regex
@@ -105,29 +136,30 @@ def run_case(src: str) -> None:
     except SystemExit:  # argparse: no such choice in this tree
         print(json.dumps(None))
         return
-    times: list[float] = []
-    while len(times) < REPEATS and sum(times) < REPEAT_S:
-        try:
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                start = time.perf_counter()
-                code = main(call["argv"])
-                times.append(time.perf_counter() - start)
-            text = out.getvalue().strip()
-        except MemoryError:
-            print(json.dumps("memory"))
-            return
+
+    def run() -> tuple[int, str]:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(call["argv"])
+        return code, out.getvalue().strip()
+
+    try:
+        seconds, (code, text) = best_time(run)
+    except MemoryError:
+        print(json.dumps("memory"))
+        return
     if code != 0 or call["expect"] not in (None, text):
         argv = call["argv"]
         raise SystemExit(f"{argv[0]} --n {argv[argv.index('--n') + 1]}: wrong answer")
-    print(json.dumps([min(times), hashlib.sha256(text.encode()).hexdigest()]))
+    print(json.dumps([seconds, hashlib.sha256(text.encode()).hexdigest()]))
 
 
-def measure(src: str, calls: list[dict]) -> tuple[object, list | None]:
-    """Median milliseconds of the calls, each in a fresh child, with the
-    digests of their outputs; or the first failure and no digests."""
+def measure(src: str, calls: list[dict], child: str) -> tuple[object, list | None]:
+    """Median milliseconds of the calls, each in a fresh child running
+    ``child --case src``, with the digests of their outputs; or the first
+    failure and no digests."""
     times, digests = [], []
     for call in calls:
-        command = [sys.executable, __file__, "--case", src]
+        command = [sys.executable, child, "--case", src]
         try:
             done = subprocess.run(command, input=json.dumps(call), capture_output=True,
                                   text=True, timeout=TIMEOUT_S, check=True)
@@ -138,10 +170,10 @@ def measure(src: str, calls: list[dict]) -> tuple[object, list | None]:
             return result, None
         times.append(result[0])
         digests.append(result[1])
-    return round(statistics.median(times) * 1000, 2), digests
+    return round(statistics.median(times) * 1000, 3), digests
 
 
-def scaling(trees: dict[str, str], workloads: list) -> list[dict]:
+def scaling(trees: dict[str, str], workloads: list, child: str) -> list[dict]:
     """Cases of each (key, make_call) workload over STRANDS x LENGTHS on both
     trees, one call per seed; the trees must print the same outputs."""
     cases = []
@@ -156,7 +188,7 @@ def scaling(trees: dict[str, str], workloads: list) -> list[dict]:
                     if side in given_up:
                         row[side] = given_up[side]
                         continue
-                    row[side], digests[side] = measure(trees[side], calls)
+                    row[side], digests[side] = measure(trees[side], calls, child)
                     if row[side] in ("timeout", "memory"):
                         given_up[side] = row[side]
                 case = {**key, "n": n, "L": length, "before": row["before"],
@@ -178,7 +210,9 @@ def scaling_parser(description: str) -> argparse.ArgumentParser:
     return parser
 
 
-def write_scaling(parser, args, metric: str, workloads: list) -> None:
+def write_scaling(parser, args, metric: str, workloads: list, child: str = __file__) -> None:
+    """Write the scaling curve, timed in child processes of the script ``child``
+    (this one by default) run with ``--case SRC``."""
     if not (args.before and args.out):
         parser.error("a scaling run needs --before and --out")
     doc = {
@@ -190,7 +224,7 @@ def write_scaling(parser, args, metric: str, workloads: list) -> None:
         "method": METHOD,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
-        "cases": scaling({"before": args.before, "after": args.after}, workloads),
+        "cases": scaling({"before": args.before, "after": args.after}, workloads, child),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")

@@ -15,6 +15,9 @@ are exactly those satisfying four relation families:
 These families are the decision (:func:`validate_braid_cocycle`, O(n^2)
 comparisons); the ``cocycle-extension`` check of :mod:`braidphase.verify`
 cross-checks them against extension on both sides of each defining relation.
+:func:`extend` relies on rel4 for speed: per letter it counts each row's
+letters and band columns, and beyond those only the off-band entries that
+break rel4.
 
 Up to coboundary a table is classified by ``mu1 = phi(s_i,x_i)+phi(s_i,x_{i+1})``
 and, from three strands on, the common off-band value ``mu2``.  On the pure
@@ -187,32 +190,43 @@ def extend(c: BraidOneCocycle, a: BraidWord, x: FreeWord) -> Angle:
 
     Uses phi(l w, x) = phi(l, w.x) + phi(w, x) with phi(s^-1, y) =
     -phi(s, s^-1.y).  Since phi(a, -) is a character it only sees the
-    exponent-sum vector of its argument, and the action permutes that
-    vector, so the recursion runs on integer vectors: each letter s_i^{+-1}
-    adds +-v into row i of an integer count matrix N, and the value is
-    sum N_ij phi(s_i, x_j), formed once.  O(L n + n^2) integer steps and a
+    exponent-sum vector v of its argument, and the action permutes v, so
+    each letter s_i^{+-1} adds +-v into row i of a count matrix N and the
+    value is sum N_ij phi(s_i, x_j).  The sum of v is invariant, so row i
+    keeps only its signed letter count k_i and the band counts N_ii and
+    N_i,i+1: its off-band columns count k_i sum(v) - N_ii - N_i,i+1 in all,
+    weighted by its first off-band entry.  Off-band entries that differ
+    from that one (none in a valid table, by rel4) keep their own counts.
+    O(L (1 + d) + n^2) integer steps for d such columns per row, and a
     single Angle construction.
     """
     if a.strands != c.n or x.rank != c.n:
         raise RankError("cocycle, braid word and free word must share one rank")
     v = list(x.abelianize())
-    counts = [[0] * c.n for _ in range(c.n - 1)]
+    refs, slots, counts = [], [], []  # counts: k_i, N_ii, N_i,i+1, then deviations
+    for i, row in enumerate(c.table):
+        off = row[:i] + row[i + 2:]
+        ref = off[0] if off else Angle.zero()
+        # count() compares in C, by identity first; valid tables repeat one mu2
+        dev = [] if off.count(ref) == len(off) else [
+            j for j in range(c.n) if j not in (i, i + 1) and row[j] != ref]
+        refs.append(ref)
+        slots.append(tuple(enumerate(dev, 3)))
+        counts.append([0] * (3 + len(dev)))
     for i, sign in reversed(a.letters):
-        if sign == -1:
-            v[i - 1], v[i] = v[i], v[i - 1]
-        row = counts[i - 1]
-        for j, coeff in enumerate(v):
-            if coeff:
-                row[j] += sign * coeff
-        if sign == 1:
-            v[i - 1], v[i] = v[i], v[i - 1]
-    return Angle.combination(
-        (k, angle)
-        for row, angles in zip(counts, c.table)
-        if any(row)
-        for k, angle in zip(row, angles)
-        if k
-    )
+        p, q = v[i - 1], v[i]
+        v[i - 1], v[i] = q, p
+        acc = counts[i - 1]
+        acc[0] += sign
+        acc[1] += p if sign == 1 else -q
+        acc[2] += q if sign == 1 else -p
+        for slot, j in slots[i - 1]:
+            acc[slot] += sign * v[j]
+    total, terms = sum(v), []
+    for i, (row, ref, (k, s, t, *own), cols) in enumerate(zip(c.table, refs, counts, slots)):
+        terms += [(s, row[i]), (t, row[i + 1]), (k * total - s - t - sum(own), ref)]
+        terms += [(m, row[j]) for m, (_, j) in zip(own, cols)]
+    return Angle.combination((k, angle) for k, angle in terms if k)
 
 
 def mu_phi(c: BraidOneCocycle) -> Angle:
@@ -256,7 +270,7 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
         values.append(values[-1] + (c1.entry(i, i) - c2.entry(i, i)))
     witness = Character(n, tuple(values))
     for row1, row2, row in zip(c1.table, c2.table, coboundary_of_character(witness).table):
-        if any(a - b != h for a, b, h in zip(row1, row2, row)):
+        if any(a != b + h for a, b, h in zip(row1, row2, row)):
             raise ValueError(
                 "matching parameters but witness equation fails; "
                 "are both tables valid cocycles?"

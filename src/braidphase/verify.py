@@ -532,7 +532,7 @@ REGISTRY = (
      classification, _sizes(2, 5, samples=25)),
     ("cocycle-extension.n{n}", "cocycle",
      "the relation families hold exactly when extension agrees on every defining relation",
-     cocycle_extension, _sizes(2, 6, samples=20)),
+     cocycle_extension, _sizes(2, 8, samples=20)),
     ("z-relation.n{n}", "cocycle",
      "phi(z, x_i) = mu = (n-1) phi(s_j, x1...xn)",
      z_relation, _sizes(3, 5, samples=15)),

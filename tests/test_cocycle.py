@@ -198,6 +198,33 @@ def _naive_extend(c: BraidOneCocycle, w: BraidWord, x: FreeWord) -> Angle:
     return value + _naive_extend(c, rest, x)
 
 
+def _table_of_kind(n: int, kind: str, rng: random.Random) -> BraidOneCocycle:
+    """A seeded table of one kind: "valid", "arbitrary", "bumped" (one
+    off-band entry raised by th4), "entry" (any one entry raised) or "rel4"
+    (one off-band column raised in every row, column k above the band and
+    column k-2 below it, which rel1 and rel3 tie together, so that only rel4
+    sees it; valid for three strands or fewer)."""
+    symbols = ("th1", "th2", "th3")
+    if kind == "arbitrary":
+        return BraidOneCocycle(
+            n,
+            tuple(tuple(random_angle(rng, symbols) for _ in range(n)) for _ in range(n - 1)),
+        )
+    c = random_braid_cocycle(n, rng, symbols)
+    rows = [list(row) for row in c.table]
+    if kind == "bumped":
+        i = rng.randrange(n - 1)
+        j = rng.choice([j for j in range(n) if j not in (i, i + 1)])
+        rows[i][j] += Angle.symbol("th4")
+    elif kind == "entry":
+        rows[rng.randrange(n - 1)][rng.randrange(n)] += random_angle(rng, ("th4",))
+    elif kind == "rel4" and n >= 3:
+        k = rng.randint(3, n)
+        for i in range(1, n):
+            rows[i - 1][k - 1 if i <= k - 2 else k - 3] += Angle.symbol("th4")
+    return BraidOneCocycle(n, tuple(tuple(row) for row in rows))
+
+
 def test_extend_matches_literal_recursion():
     rng = random.Random(101)
     for _ in range(40):
@@ -206,37 +233,62 @@ def test_extend_matches_literal_recursion():
         w = random_braid_word(n, rng.randint(0, 8), rng)
         x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
         assert extend(c, w, x) == _naive_extend(c, w, x)
+    # every kind of table up to seven strands, so that rows have up to five
+    # off-band columns; x of exponent sum zero and the empty word included
+    rng = random.Random(107)
+    for n in range(2, 8):
+        for t in range(32):
+            kind = ("valid", "entry", "rel4", "arbitrary")[t % 4]
+            c = _table_of_kind(n, kind, rng)
+            w = random_braid_word(n, 0 if t < 4 else rng.randint(1, 8), rng)
+            if t % 8 < 4:
+                j, k = rng.randint(1, n), rng.randint(1, n)
+                x = FreeWord(n, ((j, 1), (k, 1), (j, -1), (k, -1), (k, -1)))
+                x = x * FreeWord.generator(n, rng.randint(1, n))
+            else:
+                x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
+            assert extend(c, w, x) == _naive_extend(c, w, x)
 
 
 # str(extend(...)) recorded with the per-letter Angle recursion on seeded
-# (n, seed, valid table, value) cases that _naive_extend cannot reach: words
-# of 625 random letters of both signs, tables with three symbols; the last
-# table is arbitrary, not a cocycle, so its value depends on the word.
+# (n, seed, kind of table, value) cases that _naive_extend cannot reach: words
+# of 625 random letters of both signs, tables with three symbols.  "valid"
+# tables are cocycles; an "arbitrary" table is not, so its value depends on
+# the word; a "bumped" table is a cocycle with one off-band entry raised by
+# th4, so that one row has an off-band entry unlike the others.  The n = 2, 3
+# and bumped rows were recorded with the dense count-matrix evaluation that
+# preceded the band sums.
 EXTEND_GOLDEN = [
-    (8, 1, True, "2/3 + th1 + 2*th2 - 85*th3"),
-    (8, 2, True, "2/3 - 9*th1 - 4*th2 - 8*th3"),
-    (12, 3, True, "1/24 + 24*th1 - 24*th2 + 27*th3"),
-    (12, 4, False, "17/24 + 29*th1 + 97*th2 - 51*th3"),
+    (8, 1, "valid", "2/3 + th1 + 2*th2 - 85*th3"),
+    (8, 2, "valid", "2/3 - 9*th1 - 4*th2 - 8*th3"),
+    (12, 3, "valid", "1/24 + 24*th1 - 24*th2 + 27*th3"),
+    (12, 4, "arbitrary", "17/24 + 29*th1 + 97*th2 - 51*th3"),
+    (2, 5, "valid", "1/6 + 4*th2 - 2*th3"),
+    (3, 6, "arbitrary", "5/8 + 33*th2 + 9*th3"),
+    (8, 7, "bumped", "1/12 + 57*th1 + 35*th2 + 90*th3 - 2*th4"),
+    (12, 8, "bumped", "6*th1 - 27*th2 - 12*th3 - 2*th4"),
 ]
 
 
 def test_extend_golden_values_at_large_sizes():
-    symbols = ("th1", "th2", "th3")
-    for n, seed, valid, expected in EXTEND_GOLDEN:
+    for n, seed, kind, expected in EXTEND_GOLDEN:
         rng = random.Random(seed)
-        if valid:
-            c = random_braid_cocycle(n, rng, symbols)
-        else:
-            c = BraidOneCocycle(
-                n,
-                tuple(
-                    tuple(random_angle(rng, symbols) for _ in range(n))
-                    for _ in range(n - 1)
-                ),
-            )
+        c = _table_of_kind(n, kind, rng)
         w = random_braid_word(n, 625, rng)
         x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(8)))
         assert str(extend(c, w, x)) == expected
+
+
+def test_extend_on_central_powers_at_64_strands():
+    """phi(z^5, x) = 5 (exponent sum of x) mu: z acts trivially on
+    characters and phi(z, x_i) = mu for every i."""
+    rng = random.Random(64)
+    n = 64
+    c = random_braid_cocycle(n, rng)
+    z5 = center_z(n) ** 5
+    for _ in range(3):
+        x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, 1, -1))) for _ in range(9)))
+        assert extend(c, z5, x) == mu_phi(c).scale(5 * sum(x.abelianize()))
 
 
 def test_z_relation():
