@@ -9,8 +9,8 @@ package, or put its ``src`` on ``PYTHONPATH``):
     null), over n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, on the
     two source trees side by side.  A case is the median of three seeded
     equal pairs, each pair timed, best of five samples, in its own fresh
-    child process; a sample of a call under 1 ms is the time per call of a
-    loop of calls lasting at least 20 ms.  A case in
+    child process; a sample is the time per call of a loop of calls lasting
+    at least 20 ms, or of one call that lasts longer.  A case in
     which one call runs out of TIMEOUT_S seconds is recorded as "timeout",
     and one that runs out of the MEMORY_MB address-space limit as "memory";
     the longer words of that oracle and n are then not run and are recorded
@@ -55,18 +55,17 @@ TIMEOUT_S = 60
 MEMORY_MB = 1024  # keeps the action's exponential images off a shared machine
 # A child times the best of REPEATS samples, fewer once the calls have taken
 # REPEAT_S seconds: one call per input moved a case by up to 25% on a shared
-# 2-vCPU VM, and a call of seconds is steady on its own.  A sample of a call
-# under SHORT_S times a loop of calls lasting LOOP_S and takes the time per
-# call: single sub-millisecond calls moved by up to 37% between two runs.
+# 2-vCPU VM, and a call of seconds is steady on its own.  A sample times a
+# loop of calls lasting LOOP_S and takes the time per call: single calls moved
+# by up to 37% between two runs below 1 ms, and by up to 35% above it.
 REPEATS = 5
 REPEAT_S = 10
-SHORT_S = 0.001
 LOOP_S = 0.02
 METHOD = (
     "Each seeded input is timed in a fresh child process per tree: one warm-up "
     "call, then the best of 5 samples, fewer once the calls have taken 10 s; "
-    "a sample is one call, or for a call under 1 ms the time per call of a "
-    "loop of calls lasting at least 20 ms. 'timeout' and 'memory' "
+    "a sample is the time per call of a loop of calls lasting at least 20 ms "
+    "(one call, if it lasts longer). 'timeout' and 'memory' "
     "mark a case in which one such child ran out of timeout_s or "
     "memory_limit_mb; longer words of that command and n are then not run and "
     "carry the same mark. null: the tree has no such choice (an --oracle)."
@@ -97,12 +96,11 @@ def equal_call(oracle: str, n: int, length: int, seed: int) -> dict:
 def best_time(call) -> tuple[float, object]:
     """Seconds per call of ``call()``, the best of REPEATS samples (fewer once
     the calls have taken REPEAT_S seconds), and the value of its last call.
-    A sample is one call, or for a call under SHORT_S the time per call of a
-    loop of calls lasting at least LOOP_S."""
+    A sample is the time per call of a loop of calls lasting at least LOOP_S."""
     samples, spent = [], 0.0
     while len(samples) < REPEATS and spent < REPEAT_S:
         count, elapsed, start = 0, 0.0, time.perf_counter()
-        while count == 0 or elapsed < LOOP_S and elapsed < SHORT_S * count:
+        while elapsed < LOOP_S:
             value = call()
             count += 1
             elapsed = time.perf_counter() - start

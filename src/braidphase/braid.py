@@ -3,10 +3,10 @@
 A :class:`BraidWord` is a word in the generators ``s1, ..., s_{n-1}`` of the
 braid group on n strands.  Free reduction (cancelling ``s_i s_i^-1``) is
 applied eagerly on construction; no other relation is, so structural equality
-of words is *not* group equality.  Braid and a-alphabet words are parsed and
-printed by :mod:`braidphase.freegroup`, and braid words are reduced there
-too.  :func:`equal` decides the word problem by comparing :func:`dynnikov`
-coordinates, integer vectors built in polynomial time.  The cross-check is
+of words is *not* group equality.  Braid and a-alphabet words are parsed,
+printed and reduced by :mod:`braidphase.freegroup`.  :func:`equal` decides
+the word problem by comparing :func:`dynnikov` coordinates, integer vectors
+built in polynomial time.  The cross-check is
 :func:`garside_normal_form`, the left-greedy canonical form
 ``Delta^p A_1 ... A_k`` (factors are permutation braids), built in one pass
 that appends each same-sign run as one factor: words are equal exactly when
@@ -95,10 +95,7 @@ class Permutation:
         return Permutation(tuple(self.image[j - 1] for j in other.image))
 
     def inverse(self) -> Permutation:
-        image = [0] * self.size
-        for i, v in enumerate(self.image, start=1):
-            image[v - 1] = i
-        return Permutation(tuple(image))
+        return Permutation(tuple(_inverse(self.image)))
 
     @property
     def is_identity(self) -> bool:
@@ -147,12 +144,12 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise RankError(f"strand count must be positive, got {self.strands}")
-        runs = _reduce(self.letters)
-        for i, _ in runs:
+        for i, _ in self.letters:
             if not 1 <= i <= self.strands - 1:
                 raise RankError(
                     f"generator s{i} out of range for {self.strands} strands"
                 )
+        runs = _reduce(self.letters)
         if sum(abs(e) for _, e in runs) > MAX_BRAID_LETTERS:
             raise ParseError(f"braid word longer than {MAX_BRAID_LETTERS} letters")
         letters = tuple([(i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e))])
@@ -413,22 +410,11 @@ class PureWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise RankError(f"strand count must be positive, got {self.strands}")
-        stack: list[tuple[tuple[int, int], int]] = []
-        for pair, exp in self.letters:
-            i, j = int(pair[0]), int(pair[1])
-            exp = int(exp)
+        letters = [((int(pair[0]), int(pair[1])), int(exp)) for pair, exp in self.letters]
+        for (i, j), _ in letters:
             if not 1 <= i < j <= self.strands:
                 raise RankError(f"a({i},{j}) out of range for {self.strands} strands")
-            if exp == 0:
-                continue
-            if stack and stack[-1][0] == (i, j):
-                merged = stack[-1][1] + exp
-                stack.pop()
-                if merged:
-                    stack.append(((i, j), merged))
-            else:
-                stack.append(((i, j), exp))
-        object.__setattr__(self, "letters", tuple(stack))
+        object.__setattr__(self, "letters", _reduce(letters))
 
     @classmethod
     def identity(cls, strands: int) -> PureWord:
@@ -469,31 +455,6 @@ def center_z_pure_word(n: int) -> PureWord:
     return PureWord(n, tuple((pair, 1) for pair in _pairs(n)))
 
 
-def _annular_emission(state: int, i: int, m: int) -> tuple[str, int] | None:
-    """Coset rewriting table for the stabilizer of the last strand in B_m.
-
-    Cosets are indexed by the strand position that ends at m, with shortest
-    positive representatives r_p = s_{m-1} s_{m-2} ... s_p.  The entry for a
-    positive letter s_i read in coset ``state`` is the subgroup element
-    r_state s_i r_state'^-1, which simplifies to one of: a braid generator of
-    the quotient copy of B_{m-1}, the free generator a_{i,m}, or nothing.
-    """
-    if i <= m - 2:
-        if state == i:
-            return ("free", i)
-        if state == i + 1:
-            return None
-        if state >= i + 2:
-            return ("braid", i)
-        return ("braid", i - 1)
-    # i == m - 1
-    if state == m - 1:
-        return ("free", m - 1)
-    if state == m:
-        return None
-    return ("braid", m - 2)
-
-
 def _annular_split(b: BraidWord) -> tuple[FreeWord, BraidWord]:
     """Write a pure braid on m strands as (free part, braid on m-1 strands).
 
@@ -505,22 +466,25 @@ def _annular_split(b: BraidWord) -> tuple[FreeWord, BraidWord]:
     in the Horner order e_0 . auto(beta_1)(e_1 . auto(beta_2)(e_2 ...)),
     with each stretch of emissions prepended at once and each stretch of
     braid letters applied as its runs s_i^e, one step per run.
+
+    The cosets of the stabilizer of the last strand are indexed by the
+    position p of the strand that ends at m, with shortest positive
+    representatives r_p = s_{m-1} s_{m-2} ... s_p.  A positive s_i read in
+    coset p emits the subgroup element r_p s_i r_{p'}^-1, p' the next coset,
+    which is a_{i,m} when p = i, trivial when p = i+1, and otherwise the
+    letter s_i becomes once the strand at p is forgotten: s_i of B_{m-1} when
+    p > i+1, s_{i-1} when p < i.  A negative letter is the inverse of the
+    positive one read in the coset it leads to.
     """
     m = b.strands
     steps: list[tuple[bool, int, int]] = []  # (is an emission, index, sign)
-    state = m
+    p = m
     for i, sign in b.letters:
-        swapped = state
-        if swapped == i:
-            swapped = i + 1
-        elif swapped == i + 1:
-            swapped = i
-        emit_state = state if sign == 1 else swapped
-        emission = _annular_emission(emit_state, i, m)
-        if emission is not None:
-            kind, idx = emission
-            steps.append((kind == "free", idx, sign))
-        state = swapped
+        swapped = i + 1 if p == i else i if p == i + 1 else p
+        q = p if sign == 1 else swapped
+        if q != i + 1:
+            steps.append((q == i, i if q >= i else i - 1, sign))
+        p = swapped
     runs: tuple[tuple[int, int], ...] = ()
     for emitted, group in groupby(reversed(steps), key=lambda step: step[0]):
         letters = [(idx, sign) for _, idx, sign in group][::-1]

@@ -724,15 +724,6 @@ class CohomologyParameters:
     order_two_summands: int
     parameters: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "torus_exponent": self.torus_exponent,
-            "order_two_summands": self.order_two_summands,
-            "parameters": list(self.parameters),
-        }
-
 
 def cohomology_parameters(group: str, n: int) -> CohomologyParameters:
     """Parameter counts for the supported families.

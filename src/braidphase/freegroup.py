@@ -53,11 +53,11 @@ class FreeWord:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise RankError(f"rank must be positive, got {self.rank}")
-        reduced = _reduce(map(tuple, self.letters))
-        for idx, _ in reduced:
+        letters = [tuple(letter) for letter in self.letters]
+        for idx, _ in letters:
             if not 1 <= idx <= self.rank:
                 raise RankError(f"generator x{idx} out of range for rank {self.rank}")
-        object.__setattr__(self, "letters", reduced)
+        object.__setattr__(self, "letters", _reduce(letters))
 
     @classmethod
     def identity(cls, rank: int) -> FreeWord:

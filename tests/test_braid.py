@@ -398,8 +398,10 @@ def test_braid_word_parsing():
     assert parse_braid_word("s1^+2 * s2", 3) == parse_braid_word("s1^2*s2", 3)
     with pytest.raises(ParseError):
         parse_braid_word("t1", 3)
-    with pytest.raises(RankError):
-        parse_braid_word("s3", 3)
+    # a generator out of range is refused even when it cancels or has exponent 0
+    for text in ("s3", "s5*s5^-1", "s5^0", "s1*s3^2*s3^-2"):
+        with pytest.raises(RankError):
+            parse_braid_word(text, 3)
 
 
 def test_pure_word_parsing():
@@ -408,8 +410,14 @@ def test_pure_word_parsing():
     assert parse_pure_word("a( 1 , 3 )^+2", 3) == parse_pure_word("a(1,3)^2", 3)
     with pytest.raises(ParseError):
         parse_pure_word("a(1;2)", 3)
-    with pytest.raises(RankError):
-        parse_pure_word("a(2,2)", 3)
+    for text in ("a(2,2)", "a(1,4)*a(1,4)^-1", "a(1,4)^0", "a(3,2)^0", "a(0,1)*a(0,1)^-1"):
+        with pytest.raises(RankError):
+            parse_pure_word(text, 3)
+    for letters in ((((1, 4), 1), ((1, 4), -1)), (((1, 4), 0),), (((2.0, 5), 0),)):
+        with pytest.raises(RankError):
+            PureWord(3, letters)
+    # numbers are read by int(); a zero exponent and cancelling pairs drop out
+    assert PureWord(3, ((("1", 2.0), "2"), ((2, 3), 0), ((1, 2), -2))).letters == ()
     assert (parse_pure_word("a(1,2)", 3) * parse_pure_word("a(1,2)^-1", 3)).letters == ()
 
 
@@ -421,3 +429,9 @@ def test_free_reduction_on_construction():
     assert BraidWord(2, ((1, 10**9), (1, -10**9))).letters == ()
     with pytest.raises(ParseError):
         BraidWord(3, ((1, 10**9),))
+    # letters are range-checked before they are reduced
+    for word in (BraidWord, FreeWord):
+        for letters in (((5, 1), (5, -1)), ((5, 0),), ((0, 2), (0, -2)), ((1, 1), (7, 0))):
+            with pytest.raises(RankError):
+                word(3, letters)
+    assert FreeWord(3, [[1, 2], [3, 0], [1, -2]]).letters == ()

@@ -67,6 +67,10 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "b0rk")[0] == 2
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "s7")[0] == 3
     assert run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s1", "s4")[0] == 3
+    # out-of-range generators that cancel or have exponent 0
+    assert run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s5*s5^-1", "e")[0] == 3
+    assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "s5^0")[0] == 3
+    assert run_cli(capsys, "normalize", "--group", "fn", "--n", "2", "x7*x7^-1")[0] == 3
 
 
 def test_oversized_braid_word_fails_fast(capsys):
