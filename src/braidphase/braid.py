@@ -80,10 +80,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.image)
 
-    @classmethod
-    def longest(cls, n: int) -> Permutation:
-        return cls(tuple(range(n, 0, -1)))
-
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 
@@ -100,13 +96,6 @@ class Permutation:
     @property
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.image, start=1))
-
-    def right_descents(self) -> set[int]:
-        """Indices i with image(i) > image(i+1)."""
-        return {i for i in range(1, self.size) if self.image[i - 1] > self.image[i]}
-
-    def left_descents(self) -> set[int]:
-        return self.inverse().right_descents()
 
     def reduced_word(self) -> tuple[int, ...]:
         """A deterministic reduced word whose left-to-right product is self."""

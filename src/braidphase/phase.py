@@ -1,11 +1,14 @@
 """Exact arithmetic in the circle group, written additively.
 
-An :class:`Angle` is an element of R/Z stored as a reduced rational in [0, 1)
-plus an integer combination of named symbols ``th1, th2, ...``.  The symbols
-stand for fixed real numbers that are assumed, together with 1, to be
-linearly independent over Q; the library never certifies independence, it
-only relies on the resulting dichotomy: an angle is torsion in R/Z exactly
-when its symbolic part is empty.
+An :class:`Angle` is an element of R/Z: a rational part ``q``, kept as reduced
+integers ``num/den`` in [0, 1) (``.frac`` is derived), plus an integer
+combination of named symbols ``th1, th2, ...``.  The symbols stand for fixed
+real numbers that are assumed, together with 1, to be linearly independent
+over Q; the library never certifies independence, it only relies on the
+resulting dichotomy: an angle is torsion in R/Z exactly when its symbolic part
+is empty.  Only public construction (``Angle(frac, syms)``, ``rational``,
+``symbol``) normalises; arithmetic builds its results from normalised parts,
+with one ``gcd`` for ``q`` and a merge of symbols only when both sides have some.
 
 Quantities that are usually written multiplicatively in the unit circle are
 handled additively throughout this package: products become sums and complex
@@ -24,29 +27,41 @@ from .errors import ParseError
 
 __all__ = ["Angle", "parse_angle"]
 
-_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one term of an angle: [c*]name or p[/q], every integer in ASCII digits
+_TERM_RE = re.compile(rf"(?:([0-9]+)\*)?({_SYMBOL_RE.pattern})|([0-9]+)(?:/([0-9]+))?")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Angle:
-    """A circle-group element ``q + sum_k c_k * th_k  (mod 1)``.
+    """A circle-group element ``num/den + sum_k c_k * th_k  (mod 1)``.
 
-    ``frac`` is reduced mod 1 and the symbol map is kept sorted with nonzero
-    integer coefficients, so structural equality is equality in R/Z.
+    ``num/den`` is reduced with ``0 <= num < den`` and ``syms`` is sorted with
+    nonzero integer coefficients, so equality and hashing on these fields are
+    equality in R/Z.  ``Angle(frac, syms)`` normalises any rational and any
+    (name, coefficient) pairs in ``__post_init__``.
     """
 
-    frac: Fraction = Fraction(0)
-    syms: tuple[tuple[str, int], ...] = ()
+    # declared here: slots=True would build a second class and leave this one alive
+    __slots__ = ("num", "den", "syms")
+    num: int
+    den: int
+    syms: tuple[tuple[str, int], ...]
+
+    def __init__(self, frac: Fraction | int = 0, syms: Iterable[tuple[str, int]] = ()) -> None:
+        _init(self, *Fraction(frac).as_integer_ratio(), syms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        merged: dict[str, int] = {}
-        for name, coeff in self.syms:  # names are checked by symbol and parse_angle
-            merged[name] = merged.get(name, 0) + int(coeff)
-        object.__setattr__(self, "frac", Fraction(self.frac) % 1)
-        object.__setattr__(
-            self, "syms", tuple(sorted((k, v) for k, v in merged.items() if v != 0))
-        )
+        # names are checked by symbol and parse_angle
+        _init(self, self.num % self.den, self.den, _merged((n, int(c)) for n, c in self.syms))
+
+    def __reduce__(self):  # copy and pickle: slots of a frozen class cannot be set
+        return Angle, (self.frac, self.syms)
+
+    @property
+    def frac(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @classmethod
     def zero(cls) -> Angle:
@@ -58,9 +73,9 @@ class Angle:
 
     @classmethod
     def symbol(cls, name: str, coeff: int = 1) -> Angle:
-        if not _SYMBOL_RE.match(name):
+        if not _SYMBOL_RE.fullmatch(name):
             raise ValueError(f"bad symbol name {name!r}")
-        return cls(Fraction(0), ((name, coeff),))
+        return cls(0, ((name, coeff),))
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[int, Angle]]) -> Angle:
@@ -73,41 +88,34 @@ class Angle:
         numerators: dict[int, int] = {}
         coeffs: dict[str, int] = {}
         for k, angle in terms:
-            q = angle.frac
-            numerators[q.denominator] = numerators.get(q.denominator, 0) + k * q.numerator
+            numerators[angle.den] = numerators.get(angle.den, 0) + k * angle.num
             for name, c in angle.syms:
                 coeffs[name] = coeffs.get(name, 0) + k * c
         den = math.lcm(*numerators)
         num = sum(k * (den // d) for d, k in numerators.items())
-        return cls(Fraction(num, den), tuple(coeffs.items()))
+        return _of(num, den, tuple(sorted((k, v) for k, v in coeffs.items() if v)))
 
     def __add__(self, other: Angle) -> Angle:
         if not isinstance(other, Angle):
             return NotImplemented
-        return Angle(self.frac + other.frac, self.syms + other.syms)
+        s, t = self.syms, other.syms
+        syms = _merged(s + t) if s and t else s or t  # one side alone is already normal
+        return _of(self.num * other.den + other.num * self.den, self.den * other.den, syms)
 
     def __neg__(self) -> Angle:
-        return Angle(-self.frac, tuple((k, -v) for k, v in self.syms))
+        return _of(-self.num, self.den, tuple((k, -v) for k, v in self.syms))
 
     def __sub__(self, other: Angle) -> Angle:
-        if not isinstance(other, Angle):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, Angle) else NotImplemented
 
     def scale(self, k: int) -> Angle:
         """The k-fold sum of this angle (k may be negative or zero)."""
         k = int(k)
-        return Angle(self.frac * k, tuple((name, c * k) for name, c in self.syms))
-
-    def __mul__(self, k: int) -> Angle:
-        if not isinstance(k, int):
-            return NotImplemented
-        return self.scale(k)
-
-    __rmul__ = __mul__
+        syms = tuple((name, c * k) for name, c in self.syms) if k else ()
+        return _of(self.num * k, self.den, syms)
 
     def __bool__(self) -> bool:
-        return bool(self.frac) or bool(self.syms)
+        return bool(self.num) or bool(self.syms)
 
     @property
     def is_torsion(self) -> bool:
@@ -116,59 +124,61 @@ class Angle:
 
     def torsion_order(self) -> int | None:
         """Order of the angle in R/Z, or None if it is nontorsion."""
-        if not self.is_torsion:
-            return None
-        return self.frac.denominator
+        return None if self.syms else self.den
 
     def __str__(self) -> str:
-        parts: list[tuple[int, str]] = []  # (sign, magnitude text)
-        if self.frac or not self.syms:
-            parts.append((1, str(self.frac)))
-        for name, coeff in self.syms:
-            sign = 1 if coeff > 0 else -1
-            mag = abs(coeff)
-            parts.append((sign, name if mag == 1 else f"{mag}*{name}"))
-        out = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-        for sign, text in parts[1:]:
-            out += (" + " if sign > 0 else " - ") + text
+        out = str(self.frac) if self.num or not self.syms else ""
+        for name, c in self.syms:
+            sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+            out += sign + (name if abs(c) == 1 else f"{abs(c)}*{name}")
         return out
 
     def __repr__(self) -> str:
         return f"Angle({str(self)!r})"
 
 
+_set_num, _set_den, _set_syms = (Angle.__dict__[f].__set__ for f in Angle.__slots__)
+
+
+def _init(angle: Angle, num: int, den: int, syms) -> None:
+    _set_num(angle, num)
+    _set_den(angle, den)
+    _set_syms(angle, syms)
+
+
+def _merged(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The coefficients summed per name, sorted by name, zeros dropped."""
+    merged: dict[str, int] = {}
+    for name, c in pairs:
+        merged[name] = merged.get(name, 0) + c
+    return tuple(sorted((k, v) for k, v in merged.items() if v))
+
+
+def _of(num: int, den: int, syms: tuple[tuple[str, int], ...]) -> Angle:
+    """``num/den + syms`` for ``den > 0`` and ``syms`` already normalised."""
+    g = math.gcd(num, den)
+    angle = object.__new__(Angle)
+    _init(angle, num // g % (den // g), den // g, syms)
+    return angle
+
+
 def parse_angle(text: str) -> Angle:
     """Parse expressions like ``1/3 + 2*th1`` or ``-th2`` into an Angle."""
     s = text.replace(" ", "")
-    if s in ("", "0"):
-        return Angle()
     tokens = re.findall(r"[+-]?[^+-]+", s)
     if "".join(tokens) != s:
         raise ParseError(f"cannot parse angle {text!r}")
-    frac = Fraction(0)
-    syms: list[tuple[str, int]] = []
+    q, syms = Fraction(0), []
     for token in tokens:
-        sign = 1
-        body = token
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        if not body:
-            raise ParseError(f"cannot parse angle {text!r}")
+        sign = -1 if token[0] == "-" else 1
+        term = _TERM_RE.fullmatch(token.lstrip("+-"))
         try:
-            if "*" in body:
-                coeff_text, name = body.split("*", 1)
-                if not _SYMBOL_RE.match(name) or not _INT_RE.match(coeff_text):
-                    raise ParseError(f"bad term {token!r} in angle {text!r}")
-                syms.append((name, sign * int(coeff_text)))
-            elif "/" in body or _INT_RE.match(body):
-                frac += sign * Fraction(body)
-            elif _SYMBOL_RE.match(body):
-                syms.append((body, sign))
+            if term is None:
+                raise ValueError(token)
+            if term[2]:
+                syms.append((term[2], sign * int(term[1] or 1)))
             else:
-                raise ParseError(f"bad term {token!r} in angle {text!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, ParseError):
-                raise
+                q += sign * Fraction(int(term[3]), int(term[4] or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # int() also caps digits
             raise ParseError(f"bad term {token!r} in angle {text!r}") from exc
-    return Angle(frac, tuple(syms))
+    return Angle(q, syms)

@@ -71,6 +71,9 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s5*s5^-1", "e")[0] == 3
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "s5^0")[0] == 3
     assert run_cli(capsys, "normalize", "--group", "fn", "--n", "2", "x7*x7^-1")[0] == 3
+    # angles take ASCII decimal integers only; Fraction() would read 1_0/3 as 10/3
+    for mu1 in ("1_0/3", "1/3_3"):
+        assert run_cli(capsys, "cocycle-build", "--n", "3", "--mu1", mu1)[0] == 2
 
 
 def test_oversized_braid_word_fails_fast(capsys):

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,7 +30,9 @@ def test_basic_examples():
 
 def test_normalization():
     assert Angle(Fraction(5, 4)).frac == Fraction(1, 4)
+    assert (Angle(Fraction(5, 4)).num, Angle(Fraction(5, 4)).den) == (1, 4)
     assert Angle(Fraction(-1, 3)).frac == Fraction(2, 3)
+    assert (Angle(Fraction(-6, 3)).num, Angle(Fraction(-6, 3)).den) == (0, 1)
     assert Angle(Fraction(0), (("th1", 2), ("th1", -2))) == Angle.zero()
 
 
@@ -39,6 +45,32 @@ def test_group_laws(a, b, c):
     assert a + (-a) == Angle.zero()
     assert a.scale(3) == a + a + a
     assert a.scale(-2) == -(a + a)
+
+
+def _assert_canonical(r: Angle) -> None:
+    twin = Angle(r.frac, r.syms)  # the public constructor normalises from scratch
+    assert r == twin and hash(r) == hash(twin)
+    assert 0 <= r.num < r.den and math.gcd(r.num, r.den) == 1
+    names = [name for name, _ in r.syms]
+    assert names == sorted(set(names)) and all(c != 0 for _, c in r.syms)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(angles, angles, st.integers(-3, 3),
+       st.lists(st.tuples(st.integers(-3, 3), angles), max_size=4))
+def test_arithmetic_results_are_canonical(a, b, k, terms):
+    # arithmetic builds its results without the public normalisation; each
+    # must still be the one canonical form, with the hash that form has
+    for r in (a, a + b, a - b, -a, a.scale(k), Angle.combination(terms)):
+        _assert_canonical(r)
+
+
+def test_angle_is_frozen_and_copies():
+    a = Angle.rational(1, 3) + Angle.symbol("th1", -2)
+    for field in ("num", "den", "syms", "frac"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, 0)
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
 
 def test_group_laws_seeded_bulk():
@@ -114,6 +146,11 @@ def test_parse_examples():
         parse_angle("th1*2")
     with pytest.raises(ParseError):
         parse_angle("1/0")
+    # integers are ASCII decimal digits only: no underscores, no other scripts
+    for text in ("1_0/3", "1/3_3", "1_0", "3_3*th1", "1/00", "\u0661/\u0663", "\u0663*th1"):
+        with pytest.raises(ParseError, match="bad term"):
+            parse_angle(text)
+    assert parse_angle("010/30 - 02*th1") == Angle.rational(1, 3) - Angle.symbol("th1", 2)
 
 
 def test_symbol_names_are_checked_where_they_enter():
