@@ -77,7 +77,7 @@ def pair(n: int, length: int, seed: int) -> tuple[str, str]:
     from braidphase.braid import random_reduced_word
 
     rng = random.Random(f"{n}:{length}:{seed}")
-    left = list(random_reduced_word(n, length, rng).letters)
+    left = list(random_reduced_word(n, length, rng).units)
     right = left.copy()
     for _ in range(4):
         i, cut = rng.randint(1, n - 2), rng.randint(0, len(right))

@@ -113,7 +113,7 @@ def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:
     if word.rank != b.strands:
         raise RankError(f"rank mismatch: {b.strands} vs {word.rank}")
     runs = word.letters
-    for i, e in reversed(_reduce(b.letters)):
+    for i, e in reversed(b.letters):
         runs = _substitute(runs, i, e)
     return FreeWord(word.rank, runs)
 
@@ -144,7 +144,7 @@ def is_inner_for_pure(b: BraidWord) -> FreeWord | None:
     n = b.strands
     if n == 1:
         return FreeWord.identity(1)
-    k, rest = divmod(sum(sign for _, sign in b.letters), n * (n - 1))
+    k, rest = divmod(sum(e for _, e in b.letters), n * (n - 1))
     if rest or not equal(b, center_z(n) ** k):
         return None
     return FreeWord(n, tuple((i, 1) for i in range(1, n + 1))) ** k

@@ -1,12 +1,14 @@
 """Braid words, word-problem oracles, distinguished elements, and rewriting.
 
 A :class:`BraidWord` is a word in the generators ``s1, ..., s_{n-1}`` of the
-braid group on n strands.  Free reduction (cancelling ``s_i s_i^-1``) is
-applied eagerly on construction; no other relation is, so structural equality
-of words is *not* group equality.  Braid and a-alphabet words are parsed,
-printed and reduced by :mod:`braidphase.freegroup`.  :func:`equal` decides
-the word problem by comparing :func:`dynnikov` coordinates, integer vectors
-built in polynomial time.  The cross-check is
+braid group on n strands, stored as its runs ``(i, e)``, each ``s_i^e``.
+Free reduction (cancelling ``s_i s_i^-1``) is applied eagerly on
+construction; no other relation is, so structural equality of words is *not*
+group equality.  Braid and a-alphabet words are the word type of
+:mod:`braidphase.freegroup`; algorithms that go a letter at a time read
+``BraidWord.units``, the word spelled out as letters ``(i, +-1)``.
+:func:`equal` decides the word problem by comparing :func:`dynnikov`
+coordinates, integer vectors built in polynomial time.  The cross-check is
 :func:`garside_normal_form`, the left-greedy canonical form
 ``Delta^p A_1 ... A_k`` (factors are permutation braids), built in one pass
 that appends each same-sign run as one factor: words are equal exactly when
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 from . import artin
 from .errors import ParseError, RankError
-from .freegroup import FreeWord, _parse_word, _reduce, _word_text
+from .freegroup import FreeWord, _parse_word, _reduce, _Word
 
 __all__ = [
     "Permutation",
@@ -112,41 +115,46 @@ class Permutation:
         return tuple(reversed(word))
 
 
-# Unit letters a braid word may have after free reduction; past it the
-# constructor raises ParseError instead of expanding a short input such as
-# s1^1000000000.
+# Letters a braid word may spell out after free reduction, the sum of |e| over
+# its runs; past it the constructor raises ParseError, so that a short input
+# such as s1^1000000000 never reaches the letter-at-a-time algorithms.
 MAX_BRAID_LETTERS = 1_000_000
 
 
-@dataclass(frozen=True)
-class BraidWord:
+@dataclass(frozen=True, repr=False)
+class BraidWord(_Word):
     """A freely reduced word in the braid generators on ``strands`` strands.
 
-    Structural equality compares words letter by letter; group equality is
-    :func:`equal`.  Letters with larger exponents are accepted on input and
-    expanded to unit letters, at most :data:`MAX_BRAID_LETTERS` of them.
+    ``letters`` holds the reduced runs ``(i, e)``, each ``s_i^e``, and
+    structural equality compares them; group equality is :func:`equal`.
+    ``units`` spells the word out one letter at a time.  A word may spell
+    out at most :data:`MAX_BRAID_LETTERS` letters.
     """
 
+    _letter, _size = "s", "strands"
     strands: int
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise RankError(f"strand count must be positive, got {self.strands}")
-        for i, _ in self.letters:
+        letters = [tuple(letter) for letter in self.letters]
+        for i, _ in letters:
             if not 1 <= i <= self.strands - 1:
-                raise RankError(
-                    f"generator s{i} out of range for {self.strands} strands"
-                )
-        runs = _reduce(self.letters)
+                raise RankError(f"generator s{i} out of range for {self.strands} strands")
+        runs = _reduce(letters)
         if sum(abs(e) for _, e in runs) > MAX_BRAID_LETTERS:
             raise ParseError(f"braid word longer than {MAX_BRAID_LETTERS} letters")
-        letters = tuple([(i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e))])
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", runs)
 
-    @classmethod
-    def identity(cls, strands: int) -> BraidWord:
-        return cls(strands)
+    @cached_property
+    def units(self) -> tuple[tuple[int, int], ...]:
+        """The word one letter at a time: each run s_i^e as |e| letters (i, +-1)."""
+        out: list[tuple[int, int]] = []
+        for run in self.letters:
+            i, e = run
+            out += (run,) if e == 1 or e == -1 else ((i, 1 if e > 0 else -1),) * abs(e)
+        return tuple(out)
 
     @classmethod
     def generator(cls, strands: int, i: int, sign: int = 1) -> BraidWord:
@@ -156,37 +164,13 @@ class BraidWord:
     def is_trivial_word(self) -> bool:
         return not self.letters
 
-    def _check(self, other: BraidWord) -> None:
-        if self.strands != other.strands:
-            raise RankError(f"strand mismatch: {self.strands} vs {other.strands}")
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if not isinstance(other, BraidWord):
-            return NotImplemented
-        self._check(other)
-        return BraidWord(self.strands, self.letters + other.letters)
-
-    def inverse(self) -> BraidWord:
-        return BraidWord(self.strands, tuple((i, -e) for i, e in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> BraidWord:
-        if n == 0:
-            return BraidWord(self.strands)
-        base = self if n > 0 else self.inverse()
-        return BraidWord(self.strands, base.letters * abs(n))
-
-    def __str__(self) -> str:
-        return _word_text("s", _reduce(self.letters))
-
-    def __repr__(self) -> str:
-        return f"BraidWord({self.strands}, {str(self)!r})"
-
 
 def permutation_of(b: BraidWord) -> Permutation:
     """Image of the braid under the surjection onto the symmetric group."""
     image = list(range(1, b.strands + 1))
-    for i, _ in b.letters:
-        image[i - 1], image[i] = image[i], image[i - 1]
+    for i, e in b.letters:
+        if e % 2:  # a run swaps its two strands when e is odd
+            image[i - 1], image[i] = image[i], image[i - 1]
     return Permutation(tuple(image))
 
 
@@ -240,7 +224,7 @@ def dynnikov(b: BraidWord) -> tuple[int, ...]:
     coordinates are.  Each letter adds O(1) bits: O(L^2) bit operations.
     """
     c = [0, 1] * b.strands
-    for i, sign in b.letters:
+    for i, sign in b.units:
         k = 2 * i - 2
         a1, b1, a2, b2 = c[k : k + 4]
         if sign < 0:  # s_i^-1 is s_i conjugated by negating every a_j
@@ -352,7 +336,7 @@ def garside_normal_form(b: BraidWord) -> GarsideForm:
     identity, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
     factors: list[tuple[int, ...]] = []
     power, sign, run = 0, None, []
-    for i, e in (*b.letters, (0, 0)):  # (0, 0) ends the last run
+    for i, e in (*b.units, (0, 0)):  # (0, 0) ends the last run
         j = n - i if power % 2 else i
         if e != sign or (run[j - 1] > run[j]) == (e > 0):  # s_j would end the run
             if sign:
@@ -389,10 +373,11 @@ def _pair_index(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + i - 1
 
 
-@dataclass(frozen=True)
-class PureWord:
+@dataclass(frozen=True, repr=False)
+class PureWord(_Word):
     """A word in the pure-braid generators a_{i,j}, 1 <= i < j <= strands."""
 
+    _letter, _size = "a", "strands"
     strands: int
     letters: tuple[tuple[tuple[int, int], int], ...] = ()
 
@@ -405,22 +390,6 @@ class PureWord:
                 raise RankError(f"a({i},{j}) out of range for {self.strands} strands")
         object.__setattr__(self, "letters", _reduce(letters))
 
-    @classmethod
-    def identity(cls, strands: int) -> PureWord:
-        return cls(strands)
-
-    def __mul__(self, other: PureWord) -> PureWord:
-        if not isinstance(other, PureWord):
-            return NotImplemented
-        if self.strands != other.strands:
-            raise RankError(f"strand mismatch: {self.strands} vs {other.strands}")
-        return PureWord(self.strands, self.letters + other.letters)
-
-    def inverse(self) -> PureWord:
-        return PureWord(
-            self.strands, tuple((pair, -e) for pair, e in reversed(self.letters))
-        )
-
     def expand(self) -> BraidWord:
         """Substitute each a_{i,j} by its defining braid word."""
         letters: list[tuple[int, int]] = []
@@ -429,12 +398,6 @@ class PureWord:
             word = gen if exp > 0 else gen.inverse()
             letters.extend(word.letters * abs(exp))
         return BraidWord(self.strands, tuple(letters))
-
-    def __str__(self) -> str:
-        return _word_text("a", self.letters)
-
-    def __repr__(self) -> str:
-        return f"PureWord({self.strands}, {str(self)!r})"
 
 
 def center_z_pure_word(n: int) -> PureWord:
@@ -468,7 +431,7 @@ def _annular_split(b: BraidWord) -> tuple[FreeWord, BraidWord]:
     m = b.strands
     steps: list[tuple[bool, int, int]] = []  # (is an emission, index, sign)
     p = m
-    for i, sign in b.letters:
+    for i, sign in b.units:
         swapped = i + 1 if p == i else i if p == i + 1 else p
         q = p if sign == 1 else swapped
         if q != i + 1:
@@ -519,16 +482,17 @@ def linking_numbers(b: BraidWord) -> dict[tuple[int, int], int]:
     the signed count of crossings between strands p and q.  These are the
     coordinates of the abelianization H_1(P_n) = Z^{n(n-1)/2}: lk(p, q) is
     the exponent sum of a_{p,q} in any a-alphabet word for the braid, such as
-    :func:`rewrite_pure`'s.  One pass over the word.
+    :func:`rewrite_pure`'s.  One pass over the runs of the word.
     """
     n = b.strands
     start = list(range(1, n + 1))
     strand = start.copy()  # label of the strand at each position
     crossings = dict.fromkeys(_pairs(n), 0)
-    for i, sign in b.letters:
+    for i, e in b.letters:  # a run s_i^e makes e crossings of the same two strands
         p, q = strand[i - 1], strand[i]
-        crossings[(p, q) if p < q else (q, p)] += sign
-        strand[i - 1], strand[i] = q, p
+        crossings[(p, q) if p < q else (q, p)] += e
+        if e % 2:
+            strand[i - 1], strand[i] = q, p
     if strand != start:
         raise ValueError("braid word is not pure")
     return {pair: count // 2 for pair, count in crossings.items()}
@@ -603,7 +567,7 @@ def random_equal_pair(
 ) -> tuple[BraidWord, BraidWord]:
     """Two words equal in the group, produced by relation-preserving rewrites."""
     u = random_braid_word(strands, rng.randint(0, max(1, max_length - 8)), rng)
-    letters = list(u.letters)
+    letters = list(u.units)
     for _ in range(8):
         op = rng.randrange(3)
         if op == 0 and len(letters) + 2 <= max_length:

@@ -213,7 +213,7 @@ def extend(c: BraidOneCocycle, a: BraidWord, x: FreeWord) -> Angle:
         refs.append(ref)
         slots.append(tuple(enumerate(dev, 3)))
         counts.append([0] * (3 + len(dev)))
-    for i, sign in reversed(a.letters):
+    for i, sign in reversed(a.units):
         p, q = v[i - 1], v[i]
         v[i - 1], v[i] = q, p
         acc = counts[i - 1]

@@ -1,15 +1,14 @@
 """Reduced words in finitely generated free groups and circle-valued characters.
 
-Words are stored run-length encoded as ``(generator index, exponent)`` pairs
-and kept fully reduced, so structural equality coincides with equality in the
-group and equality tests are linear in the word length.  Generators are
-1-based: ``x1, ..., xn``.  Every word carries its rank and binary operations
-check ranks; promotion to a bigger rank is always explicit.
-
-The module also owns the word syntax of all three alphabets the package
-uses, the free generators ``x<k>``, Artin's generators ``s<i>`` and the pure
-generators ``a(i,j)``: one token grammar reads words and cocycle labels, one
-printer writes words, and :func:`_reduce` is the one free reduction.
+The package has one word type for its three alphabets, the free generators
+``x<k>``, Artin's generators ``s<i>`` and the pure generators ``a(i,j)``: a
+size and ``(index, exponent)`` runs, freely reduced by :func:`_reduce` on
+construction.  :class:`FreeWord`, ``braid.BraidWord`` and ``braid.PureWord``
+share ``*``, ``inverse``, ``**`` and the printer; one token grammar reads words
+and cocycle labels.  A reduced free word is canonical, so structural equality
+is equality in the group, in time linear in the word length.  Generators are
+1-based: ``x1, ..., xn``.  Binary operations check ranks; promotion to a
+bigger rank is always explicit.
 
 Conjugacy orbits need no enumeration.  In ``F_n x| B_n`` the orbit of an
 element under conjugation by ``F_n`` is finite exactly when the element is
@@ -43,10 +42,48 @@ def _reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class _Word:
+    """What the three word types share.  A subclass is a frozen dataclass,
+    declared with ``repr=False``, whose fields are its size and ``letters``;
+    it names its alphabet letter in ``_letter`` and its size field in ``_size``."""
+
+    @classmethod
+    def identity(cls, size: int):
+        return cls(size)
+
+    def _check(self, other: _Word) -> None:
+        size, other_size = getattr(self, self._size), getattr(other, self._size)
+        if size != other_size:
+            raise RankError(f"{self._size} mismatch: {size} vs {other_size}")
+
+    def _new(self, letters):  # a word of the same type and size
+        return type(self)(getattr(self, self._size), letters)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._new(self.letters + other.letters)
+
+    def inverse(self):
+        return self._new(tuple((i, -e) for i, e in reversed(self.letters)))
+
+    def __pow__(self, n: int):
+        base = self if n >= 0 else self.inverse()
+        return self._new(base.letters * abs(n))
+
+    def __str__(self) -> str:
+        return _word_text(self._letter, self.letters)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({getattr(self, self._size)}, {str(self)!r})"
+
+
+@dataclass(frozen=True, repr=False)
+class FreeWord(_Word):
     """A reduced word in the free group of the given rank."""
 
+    _letter, _size = "x", "rank"
     rank: int
     letters: tuple[tuple[int, int], ...] = ()
 
@@ -60,10 +97,6 @@ class FreeWord:
         object.__setattr__(self, "letters", _reduce(letters))
 
     @classmethod
-    def identity(cls, rank: int) -> FreeWord:
-        return cls(rank)
-
-    @classmethod
     def generator(cls, rank: int, index: int, exp: int = 1) -> FreeWord:
         return cls(rank, ((index, exp),))
 
@@ -71,28 +104,9 @@ class FreeWord:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def _check_rank(self, other: FreeWord) -> None:
-        if self.rank != other.rank:
-            raise RankError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __mul__(self, other: FreeWord) -> FreeWord:
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        self._check_rank(other)
-        return FreeWord(self.rank, self.letters + other.letters)
-
-    def inverse(self) -> FreeWord:
-        return FreeWord(self.rank, tuple((i, -e) for i, e in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> FreeWord:
-        if n == 0:
-            return FreeWord(self.rank)
-        base = self if n > 0 else self.inverse()
-        return FreeWord(self.rank, base.letters * abs(n))
-
     def conjugate_by(self, g: FreeWord) -> FreeWord:
         """g^-1 * self * g."""
-        self._check_rank(g)
+        self._check(g)
         return g.inverse() * self * g
 
     def length(self) -> int:
@@ -110,12 +124,6 @@ class FreeWord:
         if rank < self.rank:
             raise RankError(f"cannot demote rank {self.rank} word to rank {rank}")
         return FreeWord(rank, self.letters)
-
-    def __str__(self) -> str:
-        return _word_text("x", self.letters)
-
-    def __repr__(self) -> str:
-        return f"FreeWord({self.rank}, {str(self)!r})"
 
 
 # One token: a letter with its index (x<k>, s<i> or a(i,j)) and an optional

@@ -18,6 +18,8 @@ conjugation becomes negation.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +41,8 @@ class Angle:
     ``num/den`` is reduced with ``0 <= num < den`` and ``syms`` is sorted with
     nonzero integer coefficients, so equality and hashing on these fields are
     equality in R/Z.  ``Angle(frac, syms)`` normalises any rational and any
-    (name, coefficient) pairs in ``__post_init__``.
+    (name, coefficient) pairs in ``__post_init__``; a float, string or other
+    inexact part raises TypeError, as does a coefficient that is not an integer.
     """
 
     # declared here: slots=True would build a second class and leave this one alive
@@ -49,12 +52,15 @@ class Angle:
     syms: tuple[tuple[str, int], ...]
 
     def __init__(self, frac: Fraction | int = 0, syms: Iterable[tuple[str, int]] = ()) -> None:
+        if not isinstance(frac, numbers.Rational):
+            raise TypeError(f"not a rational number: {frac!r}")
         _init(self, *Fraction(frac).as_integer_ratio(), syms)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # names are checked by symbol and parse_angle
-        _init(self, self.num % self.den, self.den, _merged((n, int(c)) for n, c in self.syms))
+        syms = _merged((n, operator.index(c)) for n, c in self.syms)
+        _init(self, self.num % self.den, self.den, syms)
 
     def __reduce__(self):  # copy and pickle: slots of a frozen class cannot be set
         return Angle, (self.frac, self.syms)
@@ -110,7 +116,7 @@ class Angle:
 
     def scale(self, k: int) -> Angle:
         """The k-fold sum of this angle (k may be negative or zero)."""
-        k = int(k)
+        k = operator.index(k)
         syms = tuple((name, c * k) for name, c in self.syms) if k else ()
         return _of(self.num * k, self.den, syms)
 

@@ -216,7 +216,7 @@ def dynnikov_agreement(rng: random.Random, *, n: int) -> str | None:
             form, coordinates = garside_normal_form(a), dynnikov(a)
             if dynnikov(form.as_braid_word()) != coordinates:
                 return f"Dynnikov coordinates reject {a} = its normal form"
-            others, near, cut = [b], list(b.letters), rng.randint(0, len(b.letters))
+            others, near, cut = [b], list(b.units), rng.randint(0, len(b.units))
             if n > 2:
                 i = rng.randint(1, n - 2)
                 near[cut:cut] = [(i, 1), (i, 1), (i + 1, 1), (i + 1, 1)]

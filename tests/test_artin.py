@@ -39,7 +39,7 @@ def substitute(b: BraidWord, word: FreeWord) -> FreeWord:
     """Reference for artin_auto(b)(word): substitute the generator formulas
     into the one word, for the letters of b from right to left."""
     n = b.strands
-    for i, sign in reversed(b.letters):
+    for i, sign in reversed(b.units):
         word = FreeAutomorphism(n, tuple(generator_images(n, i, sign)))(word)
     return word
 

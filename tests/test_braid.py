@@ -108,7 +108,7 @@ def test_dynnikov_golden():
         assert dynnikov(delta(n)) == half
         assert dynnikov(center_z(n)) == full
     w = random_reduced_word(5, 1000, random.Random(1000))
-    assert len(w.letters) == 1000
+    assert len(w.units) == 1000
     assert dynnikov(w) == (
         4,
         -2854266523247559180716777839250099751685298194636254630860157675,
@@ -189,12 +189,12 @@ def _garside_inputs():
         other = BraidWord(n, tuple((i, 1) for i in _longest(n).reduced_word()))
         pieces = [d, d.inverse(), d ** 2, d ** -3, center_z(n), center_z(n).inverse(), other,
                   other.inverse()]
-        letters = list(random_braid_word(n, rng.randint(0, 40), rng).letters)
+        letters = list(random_braid_word(n, rng.randint(0, 40), rng).units)
         for _ in range(rng.randint(1, 4)):
             sign = rng.choice((1, -1))
             run = BraidWord(n, tuple((rng.randint(1, n - 1), sign) for _ in range(3 * n)))
             cut = rng.randint(0, len(letters))
-            letters[cut:cut] = rng.choice(pieces + [run]).letters
+            letters[cut:cut] = rng.choice(pieces + [run]).units
         yield BraidWord(n, tuple(letters))
     for n in range(2, 8):
         for k in range(-3, 4):
@@ -433,7 +433,8 @@ def test_pure_word_parsing():
 def test_free_reduction_on_construction():
     w = BraidWord(3, ((1, 1), (1, -1), (2, 1)))
     assert w == parse_braid_word("s2", 3)
-    assert parse_braid_word("s1^3", 2).letters == ((1, 1), (1, 1), (1, 1))
+    w = parse_braid_word("s1^3", 2)
+    assert w.letters == ((1, 3),) and w.units == ((1, 1), (1, 1), (1, 1))
     # runs cancel before they are expanded; a longer word than the cap is refused
     assert BraidWord(2, ((1, 10**9), (1, -10**9))).letters == ()
     with pytest.raises(ParseError):
@@ -444,3 +445,46 @@ def test_free_reduction_on_construction():
             with pytest.raises(RankError):
                 word(3, letters)
     assert FreeWord(3, [[1, 2], [3, 0], [1, -2]]).letters == ()
+    # the contract the three word types share, on seeded runs
+    rng = random.Random(18)
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        runs = [(rng.randint(1, n - 1), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(0, 6))]
+        pairs = [((i, rng.randint(i + 1, n)), e) for i, e in runs]
+        for w in (FreeWord(n, runs), BraidWord(n, runs), PureWord(n, pairs)):
+            one = type(w).identity(n)
+            assert w * w.inverse() == w.inverse() * w == one
+            for k in range(-2, 3):
+                product = one
+                for _ in range(abs(k)):
+                    product = product * (w if k > 0 else w.inverse())
+                assert w ** k == product
+            with pytest.raises(RankError):
+                w * type(w).identity(n + 1)
+        w = BraidWord(n, runs)
+        assert BraidWord(n, w.units) == w
+        assert len(w.units) == sum(abs(e) for _, e in w.letters)
+    with pytest.raises(TypeError):
+        FreeWord.generator(3, 1) * BraidWord.generator(3, 1)
+
+
+# sha256 of the unit spellings of the seeded generators' words at (n, L, seed):
+# a random word, a reduced word, a pure word and an equal pair, drawn in that
+# order from one rng.  The verify report pins only each check's verdict, so a
+# generator whose draws changed would change the checks' inputs unseen.
+SEEDED_WORDS_GOLDEN = [
+    (2, 12, 0, "3658af1cb3803ca4e82a035cd682700799951fff1ba7b44a88ed3bc1788cfc65"),
+    (3, 30, 1, "71dc126148ff0dd9e8f1e59bec0349f6936ec6eb4bb733d8bc866c25059a247b"),
+    (5, 160, 2, "c7f53abbc1b11267e75614cfcaec21bf290e03ef156035ea2d5c5d87d33acdd1"),
+    (8, 640, 3, "fa01321f081939964e5e35c18f0590cf85c39e2a6d24e26492312b5f9741e4f3"),
+]
+
+
+@pytest.mark.parametrize("n, length, seed, digest", SEEDED_WORDS_GOLDEN)
+def test_seeded_words_golden(n, length, seed, digest):
+    rng = random.Random(seed)
+    words = [random_braid_word(n, length, rng), random_reduced_word(n, length, rng),
+             random_pure_braid_word(n, length, rng), *random_equal_pair(n, length, rng)]
+    text = "\n".join(repr(w.units) for w in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

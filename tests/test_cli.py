@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import random
+import runpy
 import tempfile
 import time
 
@@ -100,7 +102,7 @@ def test_equal(capsys):
 def test_equal_default_oracle_long_words(capsys):
     # n = 12 and 10,240 letters: far out of the action's reach, and seconds of Garside
     rng = random.Random(10240)
-    left = list(random_reduced_word(12, 10240, rng).letters)
+    left = list(random_reduced_word(12, 10240, rng).units)
     right = left.copy()
     for _ in range(8):  # relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1
         i, cut = rng.randint(1, 10), rng.randint(0, len(right))
@@ -117,6 +119,14 @@ def test_equal_default_oracle_long_words(capsys):
     for other, expected in zip(words[1:], ("true", "false", "false")):
         code, out = run_cli(capsys, "equal", "--group", "bn", "--n", "12", words[0], other)
         assert code == 0 and out.strip() == expected
+
+
+def test_bench_equal_pair_golden(capsys):
+    # the seeded pair that CI's equal and act steps and the BENCH_* curves run
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"
+    assert runpy.run_path(str(path))["main"](["--pair", "12", "10240", "0"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "20fb2b74f18c8eb4d0902a3aba9b3d583340590bb0039029e9e08c0aa0ee9dec"
 
 
 def test_act(capsys):

@@ -186,7 +186,7 @@ def _naive_extend(c: BraidOneCocycle, w: BraidWord, x: FreeWord) -> Angle:
     """
     if not w.letters:
         return Angle.zero()
-    (i, sign), rest = w.letters[0], BraidWord(c.n, w.letters[1:])
+    (i, sign), rest = w.units[0], BraidWord(c.n, w.units[1:])
     y = artin_auto(rest)(x)
     if sign == -1:
         y = artin_auto(BraidWord(c.n, ((i, -1),)))(y)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidphase.braid import BraidWord, PureWord, parse_braid_word, parse_pure_word
 from braidphase.errors import RankError
 from braidphase.freegroup import Character, FreeWord, parse_free_word
 from braidphase.phase import Angle
@@ -104,3 +105,15 @@ def test_parse_print_roundtrip():
     for text in ("e", "x1", "x1*x2^-1*x1^2", "x2^-3"):
         assert str(parse_free_word(text, 3)) == text
     assert str(parse_free_word("x1^+2 * x3^10000000000", 3)) == "x1^2*x3^10000000000"
+    # the three word types print and parse alike
+    rng = random.Random(18)
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        runs = [(rng.randint(1, n - 1), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(0, 6))]
+        pairs = [((i, rng.randint(i + 1, n)), e) for i, e in runs]
+        for w, parse in ((FreeWord(n, runs), parse_free_word),
+                         (BraidWord(n, runs), parse_braid_word),
+                         (PureWord(n, pairs), parse_pure_word)):
+            assert parse(str(w), n) == w
+            assert repr(w) == f"{type(w).__name__}({n}, {str(w)!r})"

@@ -164,3 +164,14 @@ def test_symbol_names_are_checked_where_they_enter():
                           ("x-", "cannot parse angle 'x-'")]:
         with pytest.raises(ParseError, match=message):
             parse_angle(text)
+
+
+def test_inexact_numbers_are_refused():
+    # a float would enter as its binary value, and int() would truncate a factor
+    for call in (lambda: Angle(0.1), lambda: Angle("1/3"),
+                 lambda: Angle.rational(1, 3).scale(2.9),
+                 lambda: Angle.rational(1, 2).scale(Fraction(1, 2)),
+                 lambda: Angle.symbol("th1", 1.5)):
+        with pytest.raises(TypeError):
+            call()
+    assert Angle(Fraction(2, 3)) == Angle.rational(1, 3).scale(2) == Angle.rational(-1, 3)
