@@ -1,123 +1,26 @@
 """Exact braid groups, the braid action on free groups, and circle-valued
 cocycle deformations, with machine-checkable identities throughout.
 
-All circle values are written additively (see :mod:`braidphase.phase`), all
-words are exact.  Dynnikov coordinates decide the braid word problem, the
-Garside normal form cross-checks them, and the action is checked against it.
-Artin's action has one engine, :func:`apply_braid`, on one word at a time;
-:func:`artin_auto` is the automorphism of the images of x1..xn under it.
+The modules are layers, each importing only the ones before it:
+:mod:`~braidphase.phase` (circle values, written additively) and
+:mod:`~braidphase.errors`, then :mod:`~braidphase.freegroup`,
+:mod:`~braidphase.artin` (the action ``B_n -> Aut F_n``),
+:mod:`~braidphase.braid` (the word problem and pure braids) and
+:mod:`~braidphase.cocycle`.  A public name is declared once, in its layer's
+``__all__``; the package re-exports their union.  :mod:`~braidphase.verify`
+and :mod:`~braidphase.cli` sit on top and are not imported here.
 """
 
-from .artin import FreeAutomorphism, apply_braid, artin_auto, is_inner_for_pure
-from .braid import (
-    BraidWord,
-    GarsideForm,
-    Permutation,
-    PureWord,
-    center_z,
-    center_z_pure_word,
-    delta,
-    dynnikov,
-    embed,
-    equal,
-    garside_normal_form,
-    is_pure,
-    linking_numbers,
-    p3_image,
-    parse_braid_word,
-    parse_pure_word,
-    permutation_of,
-    pure_generator,
-    rewrite_pure,
-)
-from .cocycle import (
-    BraidOneCocycle,
-    CohomologyParameters,
-    MackeyTwoCocycle,
-    PureOneCocycle,
-    SemidirectElement,
-    TabulatedOmega,
-    TwoCocycleSigmaPhi,
-    Verdict,
-    build_braid_cocycle,
-    build_pure_cocycle,
-    center_element,
-    coboundary_of_character,
-    cocycle_from_json,
-    cocycle_to_json,
-    cohomology_parameters,
-    evaluate_conditions,
-    extend,
-    extend_pure,
-    mu_params,
-    mu_phi,
-    nu,
-    restrict_to_pure,
-    sigma_regular,
-    similar_braid_cocycles,
-    validate_braid_cocycle,
-)
-from .errors import MissingOmegaError, ParseError, RankError
-from .freegroup import Character, FreeWord, parse_free_word
-from .phase import Angle, parse_angle
+from . import artin, braid, cocycle, errors, freegroup, phase
+from .artin import *
+from .braid import *
+from .cocycle import *
+from .errors import *
+from .freegroup import *
+from .phase import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Angle",
-    "BraidOneCocycle",
-    "BraidWord",
-    "Character",
-    "CohomologyParameters",
-    "FreeAutomorphism",
-    "FreeWord",
-    "GarsideForm",
-    "MackeyTwoCocycle",
-    "MissingOmegaError",
-    "ParseError",
-    "Permutation",
-    "PureOneCocycle",
-    "PureWord",
-    "RankError",
-    "SemidirectElement",
-    "TabulatedOmega",
-    "TwoCocycleSigmaPhi",
-    "Verdict",
-    "apply_braid",
-    "artin_auto",
-    "build_braid_cocycle",
-    "build_pure_cocycle",
-    "center_element",
-    "center_z",
-    "center_z_pure_word",
-    "coboundary_of_character",
-    "cocycle_from_json",
-    "cocycle_to_json",
-    "cohomology_parameters",
-    "delta",
-    "dynnikov",
-    "embed",
-    "equal",
-    "evaluate_conditions",
-    "extend",
-    "extend_pure",
-    "garside_normal_form",
-    "is_inner_for_pure",
-    "is_pure",
-    "linking_numbers",
-    "mu_params",
-    "mu_phi",
-    "nu",
-    "p3_image",
-    "parse_angle",
-    "parse_braid_word",
-    "parse_free_word",
-    "parse_pure_word",
-    "permutation_of",
-    "pure_generator",
-    "restrict_to_pure",
-    "rewrite_pure",
-    "sigma_regular",
-    "similar_braid_cocycles",
-    "validate_braid_cocycle",
-]
+__all__ = sorted(
+    {name for layer in (phase, errors, freegroup, artin, braid, cocycle) for name in layer.__all__}
+)

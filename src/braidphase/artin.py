@@ -28,13 +28,9 @@ as the one run ``s1^2`` and wraps the word in ``c^-1 ... c`` in one step.
 
 The action is faithful; ``oracle-agreement`` checks it against Garside
 forms.  Braid equality is decided by Dynnikov coordinates
-(:func:`braid.equal`).
-
-:func:`is_inner_for_pure` decides whether a pure braid acts by an inner
-automorphism.  Only the central powers ``z^k`` do, so the answer is one
-exponent-sum test and one call of :func:`braid.equal`; the ``inner-witness``
-check confirms each witness through :func:`apply_braid` and each None by a
-generator that does not commute with the braid.
+(:func:`braid.equal`), and so is which pure braids act by inner
+automorphisms (:func:`braid.is_inner_for_pure`).  This module imports
+:mod:`braidphase.braid` only for annotations: the braid layer sits above it.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from .freegroup import FreeWord, _reduce
 if TYPE_CHECKING:  # pragma: no cover
     from .braid import BraidWord
 
-__all__ = ["FreeAutomorphism", "apply_braid", "artin_auto", "is_inner_for_pure"]
+__all__ = ["FreeAutomorphism", "apply_braid", "artin_auto"]
 
 
 @dataclass(frozen=True)
@@ -125,26 +121,3 @@ def artin_auto(b: BraidWord) -> FreeAutomorphism:
         n, tuple(apply_braid(b, FreeWord.generator(n, j)) for j in range(1, n + 1))
     )
 
-
-def is_inner_for_pure(b: BraidWord) -> FreeWord | None:
-    """The w with auto(b)(y) = w^-1 * y * w for all y, or None if there is none.
-
-    The kernel of B_n -> Out(F_n) is <z>, z = Delta^2, the centre of B_n from
-    three strands on (Birman 1974; Farb-Margalit 2012), so auto(b) is inner
-    exactly when b = z^k, and z^k conjugates by (x1...xn)^k.  The exponent
-    sum of z^k is n(n-1)k, so the exponent sum of b fixes k, and
-    :func:`braid.equal` decides b = z^k.  A None result is therefore a proof
-    that no witness exists.  For n >= 2 the witness is unique, since F_n has
-    trivial centre; on one strand the identity is returned.
-    """
-    from .braid import center_z, equal, is_pure
-
-    if not is_pure(b):
-        raise ValueError("braid word is not pure")
-    n = b.strands
-    if n == 1:
-        return FreeWord.identity(1)
-    k, rest = divmod(sum(e for _, e in b.letters), n * (n - 1))
-    if rest or not equal(b, center_z(n) ** k):
-        return None
-    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1))) ** k

@@ -14,6 +14,9 @@ coordinates, integer vectors built in polynomial time.  The cross-check is
 that appends each same-sign run as one factor: words are equal exactly when
 their forms coincide.  Artin's action (:mod:`braidphase.artin`) is checked
 for faithfulness against Garside, in ``verify``, and decides nothing here.
+Which pure braids act by inner automorphisms is decided beside
+:func:`equal`: only the central powers ``z^k`` do (:func:`is_inner_for_pure`),
+and the ``inner-witness`` check confirms each answer through the action.
 
 The module also builds the standard pure-braid generators
 
@@ -51,6 +54,7 @@ __all__ = [
     "center_z_pure_word",
     "dynnikov",
     "equal",
+    "is_inner_for_pure",
     "garside_normal_form",
     "rewrite_pure",
     "linking_numbers",
@@ -247,6 +251,28 @@ def equal(a: BraidWord, b: BraidWord) -> bool:
     multiplied, so two words each under the letter cap always compare."""
     a._check(b)
     return dynnikov(a) == dynnikov(b)
+
+
+def is_inner_for_pure(b: BraidWord) -> FreeWord | None:
+    """The w with auto(b)(y) = w^-1 * y * w for all y, or None if there is none.
+
+    The kernel of B_n -> Out(F_n) is <z>, z = Delta^2, the centre of B_n from
+    three strands on (Birman 1974; Farb-Margalit 2012), so auto(b) is inner
+    exactly when b = z^k, and z^k conjugates by (x1...xn)^k.  The exponent
+    sum of z^k is n(n-1)k, so the exponent sum of b fixes k, and
+    :func:`equal` decides b = z^k.  A None result is therefore a proof
+    that no witness exists.  For n >= 2 the witness is unique, since F_n has
+    trivial centre; on one strand the identity is returned.
+    """
+    if not is_pure(b):
+        raise ValueError("braid word is not pure")
+    n = b.strands
+    if n == 1:
+        return FreeWord.identity(1)
+    k, rest = divmod(sum(e for _, e in b.letters), n * (n - 1))
+    if rest or not equal(b, center_z(n) ** k):
+        return None
+    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1))) ** k
 
 
 def embed(b: BraidWord, strands: int) -> BraidWord:

@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 verification failure, 2 parse error (including a
 braid cocycle table that fails validation and a file that cannot be read or
 written: missing, a directory, or not UTF-8), 3 rank or strand mismatch
 (including a non-positive strand count and ``verify --max-n`` below 2), 4
-missing external cocycle data.
+missing external cocycle data, 5 out of memory (a short input such as
+``equal --group bn --n 1000000000 s1 s1`` can ask for more than the process
+may allocate).
 
 The checks ``verify`` runs live in :mod:`braidphase.verify`; this module
 only parses arguments and formats output.  The ``verify`` report is
@@ -53,6 +55,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RANK = 3
 EXIT_MISSING_DATA = 4
+EXIT_RESOURCE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except MissingOmegaError as exc:
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":  # pragma: no cover

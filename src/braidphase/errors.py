@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["MissingOmegaError", "ParseError", "RankError"]
+
 
 class ParseError(ValueError):
     """A word or angle expression could not be parsed."""

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .artin import apply_braid, is_inner_for_pure
+from .artin import apply_braid
 from .braid import (
     BraidWord,
     _pairs,
@@ -28,6 +28,7 @@ from .braid import (
     embed,
     equal,
     garside_normal_form,
+    is_inner_for_pure,
     is_pure,
     p3_image,
     parse_braid_word,

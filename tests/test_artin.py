@@ -7,12 +7,12 @@ from braidphase.artin import (
     _substitute,
     apply_braid,
     artin_auto,
-    is_inner_for_pure,
 )
 from braidphase.braid import (
     BraidWord,
     center_z,
     equal,
+    is_inner_for_pure,
     parse_braid_word,
     random_braid_word,
     random_pure_braid_word,

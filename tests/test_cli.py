@@ -6,6 +6,8 @@ import os
 import pathlib
 import random
 import runpy
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -13,6 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidphase import cli
 from braidphase.braid import BraidWord, random_reduced_word
 from braidphase.cli import main
 from braidphase.freegroup import parse_free_word
@@ -84,6 +87,36 @@ def test_oversized_braid_word_fails_fast(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_resource_error(monkeypatch, capsys):
+    def exhausted(a, b):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "equal", exhausted)
+    assert main(["equal", "--group", "bn", "--n", "3", "s1", "s1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "resource error: out of memory\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_out_of_memory_under_address_space_limit():
+    # Dynnikov coordinates on 10^9 strands ask for some 16 GB at once; under a
+    # 1 GiB limit the allocation fails, with no help from the OOM killer.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+    argv = ["equal", "--group", "bn", "--n", "1000000000", "s1", "s1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidphase", *argv],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_equal(capsys):

@@ -140,6 +140,27 @@ def test_validator_mutation_flags_exactly_the_touched_relations():
             assert not report.ok
 
 
+def test_validator_is_quadratic_on_valid_tables(monkeypatch):
+    # Equal but distinct entries: tuple.count cannot shortcut on identity, so
+    # every comparison reaches Angle.__eq__.  Pairwise rel4 made about 47,000.
+    n = 48
+    c = build_braid_cocycle(n, Angle.rational(1, 3), TH1 + Angle.rational(1, 5))
+    copies = tuple(tuple(Angle(a.frac, a.syms) for a in row) for row in c.table)
+    table = BraidOneCocycle(n, copies)
+    assert len({id(a) for row in table.table for a in row}) == n * (n - 1)
+    calls = 0
+    eq = Angle.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Angle, "__eq__", counting_eq)
+    assert validate_braid_cocycle(table).ok
+    assert calls <= 4 * n * n
+
+
 # ---------------------------------------------------------------------------
 # extension
 # ---------------------------------------------------------------------------

@@ -1,0 +1,84 @@
+"""The package's structure: layers import downward, names are declared once."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import braidphase
+
+PACKAGE = Path(braidphase.__file__).resolve().parent
+# Each module may import, at run time, only modules before it.
+ORDER = ["errors", "phase", "freegroup", "artin", "braid", "cocycle", "verify", "cli"]
+LAYERS = ["phase", "errors", "freegroup", "artin", "braid", "cocycle"]
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _runtime_imports(tree: ast.Module):
+    """The package modules a module imports when it runs, function bodies
+    included; imports under ``if TYPE_CHECKING:`` serve annotations only."""
+    exempt = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and _is_type_checking(block.test)
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("braidphase."):
+            yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("braidphase."):
+                    yield alias.name.split(".")[1]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_imports_only_go_down_the_layers(path):
+    imported = set(_runtime_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.stem == "__init__":
+        assert imported <= set(LAYERS)
+    elif path.stem == "__main__":
+        assert imported <= set(ORDER)
+    else:
+        rank = ORDER.index(path.stem)
+        assert not {m for m in imported if ORDER.index(m) >= rank}, imported
+
+
+def test_package_all_is_the_union_of_the_layers():
+    layers = [getattr(braidphase, name).__all__ for name in LAYERS]
+    names = braidphase.__all__
+    assert names == sorted(set().union(*layers))
+    # no name is declared by two layers, or twice by one
+    assert len(names) == len(set(names)) == sum(len(layer) for layer in layers)
+    for layer, declared in zip(LAYERS, layers):
+        for name in declared:
+            obj = getattr(braidphase, name)
+            assert getattr(obj, "__module__", None) == f"braidphase.{layer}", name
+
+
+def test_package_import_leaves_verify_and_cli_unloaded():
+    script = "import json, sys, braidphase; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), *sys.path])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(out.stdout)
+    assert "braidphase.phase" in loaded
+    assert "braidphase.verify" not in loaded and "braidphase.cli" not in loaded
