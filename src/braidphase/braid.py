@@ -311,11 +311,6 @@ class GarsideForm:
         return out
 
 
-def _descents(image: tuple[int, ...] | list[int]) -> int:
-    """Right descents as a bitmask: bit i is set when image(i) > image(i+1)."""
-    return sum(1 << i for i in range(1, len(image)) if image[i - 1] > image[i])
-
-
 def _inverse(image: tuple[int, ...] | list[int]) -> list[int]:
     inv = [0] * len(image)
     for i, v in enumerate(image, start=1):
@@ -326,19 +321,20 @@ def _inverse(image: tuple[int, ...] | list[int]) -> list[int]:
 def _weight_pair(a: tuple[int, ...], b: tuple[int, ...]):
     """Left-weight two permutation braids a b, or None if they already are:
     while b starts with an s_j that a does not end with, move s_j from b onto a.
-    b starts with s_j when j is a right descent of b's inverse, which is tracked."""
-    binv = _inverse(b)
-    need = _descents(binv) & ~_descents(a)
-    if not need:
-        return None
-    a, n = list(a), len(a)
-    while need:
-        j = (need & -need).bit_length() - 1
-        a[j - 1], a[j] = a[j], a[j - 1]
-        binv[j - 1], binv[j] = binv[j], binv[j - 1]
-        for k in range(max(1, j - 1), min(n, j + 2)):  # only these bits can change
-            need = need & ~(1 << k) | (binv[k - 1] > binv[k] and a[k - 1] < a[k]) << k
-    return tuple(a), tuple(_inverse(binv))
+    b starts with s_j when j is a right descent of q, b's inverse.  p and q are
+    1-based; their sentinels make j = 0, reached after a move at 1, unmovable.
+    A move at j settles j and can only unsettle j-1 and j+1, so one sweep,
+    lowest j first, steps back one place after each move."""
+    n = len(a)
+    p, q = [n + 1, *a], [0, *_inverse(b)]
+    j, moved = 1, False
+    while j < n:
+        if q[j] > q[j + 1] and p[j] < p[j + 1]:
+            p[j], p[j + 1], q[j], q[j + 1] = p[j + 1], p[j], q[j + 1], q[j]
+            j, moved = j - 1, True
+        else:
+            j += 1
+    return (tuple(p[1:]), tuple(_inverse(q[1:]))) if moved else None
 
 
 def _tau(f: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ Subcommands:
 * ``verify``          run the seeded identity-verification suites
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including a
-braid cocycle table that fails validation and a file that cannot be read or
-written: missing, a directory, or not UTF-8), 3 rank or strand mismatch
+braid cocycle table that fails validation, a cocycle table of more than
+100,000 entries (``cocycle.MAX_COCYCLE_ENTRIES``), and a file that cannot be
+read or written: missing, a directory, or not UTF-8), 3 rank or strand mismatch
 (including a non-positive strand count and ``verify --max-n`` below 2), 4
 missing external cocycle data, 5 out of memory (a short input such as
 ``equal --group bn --n 1000000000 s1 s1`` can ask for more than the process

@@ -793,6 +793,13 @@ def random_braid_cocycle(
     )
 
 
+# Entries a cocycle document's table may hold, (n-1)*n for a braid table and
+# n*n(n-1)/2 for a pure one; past it cocycle_from_json raises ParseError before
+# building the table, so that a one-line document with a large n starts no
+# quadratic or cubic work.  Tables up to n = 316 (braid) or n = 58 (pure) fit.
+MAX_COCYCLE_ENTRIES = 100_000
+
+
 def cocycle_to_json(c: BraidOneCocycle | PureOneCocycle) -> dict:
     """Serialize a cocycle table to {"n": ..., "entries": [[gen, x, angle]]}."""
     entries: list[list[str]] = []
@@ -809,7 +816,8 @@ def cocycle_to_json(c: BraidOneCocycle | PureOneCocycle) -> dict:
 
 def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
     """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels.
-    A braid table must pass :func:`validate_braid_cocycle`."""
+    A braid table must pass :func:`validate_braid_cocycle`, and no table may
+    hold more than :data:`MAX_COCYCLE_ENTRIES` entries."""
     try:
         n = int(doc["n"])
         raw_entries = list(doc["entries"])
@@ -836,6 +844,9 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
             pure_rows.setdefault(index, {})[k] = value
     if braid_rows and pure_rows:
         raise ParseError("document mixes braid and pure generator labels")
+    size = (n - 1) * n if braid_rows else n * n * (n - 1) // 2
+    if size > MAX_COCYCLE_ENTRIES:
+        raise ParseError(f"cocycle table of {size} entries, past the cap of {MAX_COCYCLE_ENTRIES}")
     zero = Angle.zero()  # shared, so that validation compares missing entries by identity
     if braid_rows:
         rows = []

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from braidphase.braid import (
     GarsideForm,
     Permutation,
     PureWord,
+    _inverse,
+    _weight_pair,
     center_z,
     center_z_pure_word,
     delta,
@@ -229,6 +232,44 @@ def test_garside_golden_long(n, length, power, count, digest):
     form = garside_normal_form(random_reduced_word(n, length, random.Random(0)))
     assert (form.power, len(form.factors)) == (power, count)
     assert hashlib.sha256(str(form).encode()).hexdigest() == digest
+
+
+def _descents(image: tuple[int, ...] | list[int]) -> int:
+    """Right descents as a bitmask: bit i is set when image(i) > image(i+1)."""
+    return sum(1 << i for i in range(1, len(image)) if image[i - 1] > image[i])
+
+
+def _weight_pair_reference(a: tuple[int, ...], b: tuple[int, ...]):
+    """Left-weight two permutation braids a b, or None if they already are:
+    while b starts with an s_j that a does not end with, move s_j from b onto a.
+    b starts with s_j when j is a right descent of b's inverse, which is tracked."""
+    binv = _inverse(b)
+    need = _descents(binv) & ~_descents(a)
+    if not need:
+        return None
+    a, n = list(a), len(a)
+    while need:
+        j = (need & -need).bit_length() - 1
+        a[j - 1], a[j] = a[j], a[j - 1]
+        binv[j - 1], binv[j] = binv[j], binv[j - 1]
+        for k in range(max(1, j - 1), min(n, j + 2)):  # only these bits can change
+            need = need & ~(1 << k) | (binv[k - 1] > binv[k] and a[k - 1] < a[k]) << k
+    return tuple(a), tuple(_inverse(binv))
+
+
+def test_weight_pair_matches_letter_at_a_time_reference():
+    """The sweep of _weight_pair against the letter-at-a-time reference it
+    replaced: every ordered pair of permutations up to 5 strands (14,400 at
+    n = 5), then seeded pairs up to 12, None results included."""
+    for n in range(2, 6):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for a, b in itertools.product(perms, repeat=2):
+            assert _weight_pair(a, b) == _weight_pair_reference(a, b), (a, b)
+    rng = random.Random(20)
+    for n in range(6, 13):
+        for _ in range(500):
+            a, b = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            assert _weight_pair(a, b) == _weight_pair_reference(a, b), (a, b)
 
 
 def test_oracle_agreement_sample():

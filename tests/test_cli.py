@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from braidphase import cli
 from braidphase.braid import BraidWord, random_reduced_word
 from braidphase.cli import main
+from braidphase.cocycle import MAX_COCYCLE_ENTRIES
 from braidphase.freegroup import parse_free_word
 
 REPORT_SCHEMA = {
@@ -441,6 +442,30 @@ def test_verdict_table_with_too_few_strands(tmp_path, capsys):
     tiny.write_text(json.dumps({"n": 0, "entries": []}))
     assert main(["verdict", "--cocycle", str(tiny), "--family", "pn"]) == 3
     assert capsys.readouterr().err.startswith("rank error:")
+
+
+@pytest.mark.parametrize(
+    "family, n, entries, code",
+    [
+        ("bn", 316, [["s1", "x1", "0"]], 0),  # 99,540 entries
+        ("bn", 317, [["s1", "x1", "0"]], 2),  # 100,172
+        ("bn", 3000, [["s1", "x1", "0"]], 2),  # 8,997,000
+        ("pn", 58, [], 0),  # 95,874; no label reads as a pure table
+        ("pn", 59, [], 2),  # 100,949
+        ("pn", 3000, [], 2),
+    ],
+)
+def test_verdict_table_entry_cap(tmp_path, capsys, family, n, entries, code):
+    # a one-line document past the cap is rejected before its table is built,
+    # not after seconds of building and validating it
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": n, "entries": entries}))
+    start = time.perf_counter()
+    assert main(["verdict", "--cocycle", str(path), "--family", family]) == code
+    if code:
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and f"cap of {MAX_COCYCLE_ENTRIES}" in err
 
 
 # Tokens near the word grammar: letters of every alphabet and a stray one,
