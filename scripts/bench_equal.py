@@ -1,29 +1,18 @@
 """Scaling curve of ``braidphase equal --group bn`` for each word-problem oracle.
 
-Two modes, both importing ``braidphase`` for the seeded words (install the
-package, or put its ``src`` on ``PYTHONPATH``):
-
 ``python scripts/bench_equal.py --before OLD/src --after src --out BENCH_8.json``
-    Times ``equal`` through ``braidphase.cli.main`` for every oracle that
-    either tree's ``--oracle`` offers (one a tree lacks is recorded there as
-    null), over n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, on the
-    two source trees side by side.  A case is the median of three seeded
-    equal pairs, each pair timed, best of five samples, in its own fresh
-    child process; a sample is the time per call of a loop of calls lasting
-    at least 20 ms, or of one call that lasts longer.  A case in
-    which one call runs out of TIMEOUT_S seconds is recorded as "timeout",
-    and one that runs out of the MEMORY_MB address-space limit as "memory";
-    the longer words of that oracle and n are then not run and are recorded
-    the same way, since the cost only grows with L.
+    Times ``equal --oracle dynnikov`` and ``equal --oracle garside`` through
+    each tree's ``braidphase.cli.main`` on the seeded equal pairs below, over
+    n in {4, 8, 12} and L in {40, 160, 640, 2560, 10240}, by the method in
+    METHOD, which is written into the output file too.  This script holds
+    the runner of that method, which ``scripts/bench_action.py`` and
+    ``scripts/bench_cocycle.py`` share.  The trees timed are loaded from
+    --before and --after; the seeded words are built with the ``braidphase``
+    on the import path (install the package, or put its ``src`` on
+    ``PYTHONPATH``).
 
 ``python scripts/bench_equal.py --pair N L SEED``
     Prints the seeded equal pair for (N, L, SEED), one braid word per line.
-
-``scripts/bench_action.py`` times ``act`` and ``rewrite-pure`` the same way,
-through this script's child processes and scaling loop, which also require
-both trees to print the same output for every input they both finish;
-``scripts/bench_cocycle.py`` times ``cocycle.extend`` with the same loop and
-timing, in children of its own.
 
 A pair is a random word of L letters, none next to its inverse, and the same
 word with four relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1 put in at
@@ -36,12 +25,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
+import importlib.util
 import io
 import json
 import os
 import platform
 import random
+import signal
 import statistics
 import subprocess
 import sys
@@ -53,22 +43,32 @@ LENGTHS = (40, 160, 640, 2560, 10240)
 SEEDS = (0, 1, 2)
 TIMEOUT_S = 60
 MEMORY_MB = 1024  # keeps the action's exponential images off a shared machine
-# A child times the best of REPEATS samples, fewer once the calls have taken
-# REPEAT_S seconds: one call per input moved a case by up to 25% on a shared
-# 2-vCPU VM, and a call of seconds is steady on its own.  A sample times a
-# loop of calls lasting LOOP_S and takes the time per call: single calls moved
-# by up to 37% between two runs below 1 ms, and by up to 35% above it.
-REPEATS = 5
+# Both trees are timed in one child, in turn: timed in a child each, the two
+# columns could land in different speed modes of a shared 2-vCPU VM (an A/A
+# case read 1.106 ms on one tree and 0.726 ms on the other).  A child takes
+# PAIRS pairs of samples, fewer once they have taken REPEAT_S seconds: one
+# call per input moved a case by up to 25%, a call of seconds is steady on
+# its own, and with 10 pairs one A/A case in 99 read a median ratio of 0.939.
+# A sample times a loop of calls lasting LOOP_S and takes the time per call:
+# single calls moved by up to 37% between two runs below 1 ms, 35% above it.
+PAIRS = 20
 REPEAT_S = 10
 LOOP_S = 0.02
 METHOD = (
-    "Each seeded input is timed in a fresh child process per tree: one warm-up "
-    "call, then the best of 5 samples, fewer once the calls have taken 10 s; "
-    "a sample is the time per call of a loop of calls lasting at least 20 ms "
-    "(one call, if it lasts longer). 'timeout' and 'memory' "
-    "mark a case in which one such child ran out of timeout_s or "
-    "memory_limit_mb; longer words of that command and n are then not run and "
-    "carry the same mark. null: the tree has no such choice (an --oracle)."
+    "Each seeded input is timed in one fresh child process, which loads both "
+    "source trees as two packages and gives them the same call. Each tree makes "
+    "one untimed warm-up call, and the trees must print the same output; then "
+    f"come {PAIRS} pairs of samples, fewer once the pairs have taken {REPEAT_S} s, "
+    "with the first tree alternating from pair to pair. A sample is the time per "
+    f"call of a loop of calls lasting at least {LOOP_S * 1000:.0f} ms (one call, if "
+    f"it lasts longer). before, after: the median over the {len(SEEDS)} seeds of "
+    "each tree's best sample, ms. ratio: the 10th percentile, median and 90th "
+    "percentile of after/before over all pairs of the case; null when either side "
+    "is a mark. 'memory' marks a tree that ran out of memory_limit_mb (a CLI call "
+    "exiting 5 included) and 'timeout' one with a call running past timeout_s; "
+    "the child then ends, the other tree is timed alone in a fresh child, and "
+    "the marked tree runs no further seed, nor longer words of that command and "
+    "n, which carry the same mark."
 )
 
 
@@ -85,114 +85,145 @@ def pair(n: int, length: int, seed: int) -> tuple[str, str]:
     return tuple("*".join(f"s{i}" if e > 0 else f"s{i}^-1" for i, e in w) for w in (left, right))
 
 
-def equal_call(oracle: str, n: int, length: int, seed: int) -> dict:
+def cli_call(argv: list[str], expect: str | None):
+    """prepare(package): a call of that tree's ``cli.main(argv)``, returning
+    its output, which must be expect unless that is None.  Exit code 5 raises
+    MemoryError; any other failure ends the child as a wrong answer."""
+    def prepare(package):
+        main = importlib.import_module(f"{package.__name__}.cli").main
+
+        def call() -> str:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            if code == 5:  # the CLI's EXIT_RESOURCE: out of memory
+                raise MemoryError
+            text = out.getvalue().strip()
+            if code != 0 or expect not in (None, text):
+                raise SystemExit(f"{argv[0]} --n {argv[argv.index('--n') + 1]}: wrong answer")
+            return text
+        return call
+    return prepare
+
+
+def equal_call(oracle: str, n: int, length: int, seed: int):
     """The seeded call of ``equal --oracle ORACLE`` on the pair (n, L, seed)."""
     left, right = pair(n, length, seed)
-    return {"warm_up": ["equal", "--group", "bn", "--n", "3", "--oracle", oracle, "s1", "s1"],
-            "argv": ["equal", "--group", "bn", "--n", str(n), "--oracle", oracle, left, right],
-            "expect": "true"}
+    return cli_call(["equal", "--group", "bn", "--n", str(n), "--oracle", oracle, left, right],
+                    "true")
 
 
-def best_time(call) -> tuple[float, object]:
-    """Seconds per call of ``call()``, the best of REPEATS samples (fewer once
-    the calls have taken REPEAT_S seconds), and the value of its last call.
-    A sample is the time per call of a loop of calls lasting at least LOOP_S."""
-    samples, spent = [], 0.0
-    while len(samples) < REPEATS and spent < REPEAT_S:
-        count, elapsed, start = 0, 0.0, time.perf_counter()
-        while elapsed < LOOP_S:
+class Timeout(Exception):
+    """A call ran past TIMEOUT_S (not an OSError, which the CLI would catch)."""
+
+
+def _on_alarm(signum, frame):
+    raise Timeout
+
+
+def sample(call, loop_s: float = LOOP_S) -> tuple[float, object]:
+    """Seconds per call of a loop of calls of ``call()`` lasting at least
+    loop_s (one call, if it lasts longer), and the value of the last one;
+    raises Timeout once the loop has run TIMEOUT_S seconds."""
+    count, elapsed, start = 0, 0.0, time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+    try:
+        while count == 0 or elapsed < loop_s:
             value = call()
             count += 1
             elapsed = time.perf_counter() - start
-        samples.append(elapsed / count)
-        spent += elapsed
-    return min(samples), value
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    return elapsed / count, value
 
 
-def child_setup(src: str) -> None:
-    """Child process: cap the address space at MEMORY_MB and put src first
-    on the import path."""
+def load_tree(side: str, src: str):
+    """The package ``braidphase`` of the source tree src, imported as tree_SIDE;
+    this works because every import inside ``braidphase`` is relative."""
+    spec = importlib.util.spec_from_file_location(
+        f"tree_{side}", os.path.join(src, "braidphase", "__init__.py"))
+    package = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
+
+
+def run_case(workloads: list, job: dict) -> None:
+    """Child process: time the seeded input of the job {"workload": index, "n",
+    "L", "seed", "trees": {side: src}} on each tree in turn, under MEMORY_MB;
+    print {"best": {side: seconds}, "ratios": [after/before per pair]}, or
+    {"failed": side, "mark": "memory" or "timeout"} as soon as one fails."""
     import resource
 
     limit = MEMORY_MB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    sys.path.insert(0, src)
-
-
-def run_case(src: str) -> None:
-    """Child process: time calls of ``braidphase.cli.main`` by best_time, read
-    from standard input as JSON {"warm_up": argv, "argv": argv, "expect":
-    text or null}; print [seconds, sha256 of the output], "memory", or null
-    when the tree rejects the warm-up's arguments (it has no such choice)."""
-    call = json.load(sys.stdin)
-    child_setup(src)
-    from braidphase.cli import main
-
-    try:  # also fills the lazy caches: parser, token regex
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            main(call["warm_up"])
-    except SystemExit:  # argparse: no such choice in this tree
-        print(json.dumps(None))
-        return
-
-    def run() -> tuple[int, str]:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = main(call["argv"])
-        return code, out.getvalue().strip()
-
+    signal.signal(signal.SIGALRM, _on_alarm)
+    prepare = workloads[job["workload"]][1](job["n"], job["L"], job["seed"])
+    calls, samples, outputs = {}, {side: [] for side in job["trees"]}, set()
     try:
-        seconds, (code, text) = best_time(run)
-    except MemoryError:
-        print(json.dumps("memory"))
+        for side, src in job["trees"].items():
+            calls[side] = prepare(load_tree(side, src))
+        for side, call in calls.items():  # untimed; also fills the lazy caches: parser, regex
+            outputs.add(str(sample(call, 0)[1]))
+        if len(outputs) > 1:
+            raise SystemExit(f"the trees print different outputs: {job}")
+        order, start = list(calls), time.perf_counter()
+        while len(samples[order[0]]) < PAIRS and time.perf_counter() - start < REPEAT_S:
+            for side in order:
+                samples[side].append(sample(calls[side])[0])
+            order.reverse()
+    except (MemoryError, Timeout) as exc:
+        mark = "memory" if isinstance(exc, MemoryError) else "timeout"
+        print(json.dumps({"failed": side, "mark": mark}))
         return
-    if code != 0 or call["expect"] not in (None, text):
-        argv = call["argv"]
-        raise SystemExit(f"{argv[0]} --n {argv[argv.index('--n') + 1]}: wrong answer")
-    print(json.dumps([seconds, hashlib.sha256(text.encode()).hexdigest()]))
+    ratios = [a / b for b, a in zip(samples.get("before", []), samples.get("after", []))]
+    print(json.dumps({"best": {side: min(times) for side, times in samples.items()},
+                      "ratios": ratios}))
 
 
-def measure(src: str, calls: list[dict], child: str) -> tuple[object, list | None]:
-    """Median milliseconds of the calls, each in a fresh child running
-    ``child --case src``, with the digests of their outputs; or the first
-    failure and no digests."""
-    times, digests = [], []
-    for call in calls:
-        command = [sys.executable, child, "--case", src]
-        try:
-            done = subprocess.run(command, input=json.dumps(call), capture_output=True,
-                                  text=True, timeout=TIMEOUT_S, check=True)
-        except subprocess.TimeoutExpired:
-            return "timeout", None
+def run_seed(child: str, job: dict, trees: dict[str, str], marks: dict) -> dict:
+    """The result of the job on the trees not in marks, in a fresh child of the
+    script ``child``; a tree that fails is marked in marks, and the rest run
+    again in a fresh child, until one child finishes or no tree is left."""
+    while todo := {side: src for side, src in trees.items() if side not in marks}:
+        command = [sys.executable, child, "--case", json.dumps({**job, "trees": todo})]
+        # a backstop: the child's alarm ends each call unless it hangs in C code
+        done = subprocess.run(command, capture_output=True, text=True,
+                              timeout=4 * TIMEOUT_S + REPEAT_S)
+        if done.returncode != 0:
+            raise SystemExit(f"{job}: {done.stderr.strip()}")
         result = json.loads(done.stdout)
-        if not isinstance(result, list):
-            return result, None
-        times.append(result[0])
-        digests.append(result[1])
-    return round(statistics.median(times) * 1000, 3), digests
+        if "failed" not in result:
+            return result
+        marks[result["failed"]] = result["mark"]
+    return {"best": {}, "ratios": []}
+
+
+def ratio_band(ratios: list[float]) -> list[float]:
+    """The 10th percentile, median and 90th percentile of the ratios."""
+    deciles = statistics.quantiles(ratios, n=10, method="inclusive")
+    return [round(r, 3) for r in (deciles[0], statistics.median(ratios), deciles[-1])]
 
 
 def scaling(trees: dict[str, str], workloads: list, child: str) -> list[dict]:
-    """Cases of each (key, make_call) workload over STRANDS x LENGTHS on both
-    trees, one call per seed; the trees must print the same outputs."""
+    """Cases of each (key, make) workload over STRANDS x LENGTHS on both trees,
+    one child per seed (two after a failure); make(n, L, seed) builds the
+    seeded input and returns prepare(package), which returns a call on that
+    tree, as cli_call does."""
     cases = []
-    for key, make_call in workloads:
+    for index, (key, _) in enumerate(workloads):
         for n in STRANDS:
-            given_up = {}
-            for index, length in enumerate(LENGTHS):
-                calls = [make_call(n, length, seed) for seed in SEEDS]
-                row, digests = {}, {}
-                order = list(trees) if index % 2 == 0 else list(reversed(trees))
-                for side in order:
-                    if side in given_up:
-                        row[side] = given_up[side]
-                        continue
-                    row[side], digests[side] = measure(trees[side], calls, child)
-                    if row[side] in ("timeout", "memory"):
-                        given_up[side] = row[side]
-                case = {**key, "n": n, "L": length, "before": row["before"],
-                        "after": row["after"]}
-                if None not in digests.values() and len(set(map(tuple, digests.values()))) > 1:
-                    raise SystemExit(f"the trees print different outputs: {case}")
+            marks = {}  # a tree's mark holds for the longer words too
+            for length in LENGTHS:
+                best, ratios = {side: [] for side in trees}, []
+                for seed in SEEDS:
+                    job = {"workload": index, "n": n, "L": length, "seed": seed}
+                    result = run_seed(child, job, trees, marks)
+                    for side, seconds in result["best"].items():
+                        best[side].append(seconds)
+                    ratios += result["ratios"]
+                row = {side: marks.get(side) or round(statistics.median(best[side]) * 1000, 3)
+                       for side in trees}
+                case = {**key, "n": n, "L": length, **row,
+                        "ratio": None if marks else ratio_band(ratios)}
                 cases.append(case)
                 print(json.dumps(case), file=sys.stderr)
     return cases
@@ -205,12 +236,16 @@ def scaling_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--before-name", default="parent")
     parser.add_argument("--after-name", default="change")
     parser.add_argument("--out", help="the BENCH_*.json file to write")
+    parser.add_argument("--case", metavar="JOB", type=json.loads, help=argparse.SUPPRESS)
     return parser
 
 
-def write_scaling(parser, args, metric: str, workloads: list, child: str = __file__) -> None:
-    """Write the scaling curve, timed in child processes of the script ``child``
-    (this one by default) run with ``--case SRC``."""
+def run_scaling(parser, args, metric: str, workloads: list, child: str) -> int:
+    """Run the child job of ``--case``, or write the scaling curve of the
+    workloads, timed in children of the script ``child``."""
+    if args.case:
+        run_case(workloads, args.case)
+        return 0
     if not (args.before and args.out):
         parser.error("a scaling run needs --before and --out")
     doc = {
@@ -226,23 +261,20 @@ def write_scaling(parser, args, metric: str, workloads: list, child: str = __fil
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
+    return 0
 
 
 def main(argv=None) -> int:
     parser = scaling_parser(__doc__.split("\n\n")[0])
     parser.add_argument("--pair", nargs=3, type=int, metavar=("N", "L", "SEED"))
-    parser.add_argument("--case", metavar="SRC")
     args = parser.parse_args(argv)
     if args.pair:
         print("\n".join(pair(*args.pair)))
-    elif args.case:
-        run_case(args.case)
-    else:
-        write_scaling(parser, args, "braidphase equal --group bn wall time per call, median "
-                      "of 3 seeded equal pairs, ms",
-                      [({"oracle": oracle}, functools.partial(equal_call, oracle))
-                       for oracle in ORACLES])
-    return 0
+        return 0
+    return run_scaling(parser, args, "braidphase equal --group bn wall time per call, median "
+                       "of 3 seeded equal pairs, ms",
+                       [({"oracle": oracle}, functools.partial(equal_call, oracle))
+                        for oracle in ORACLES], __file__)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def test_normalize_free(capsys):
     assert code == 0 and out.strip() == "x1"
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(tmp_path, capsys):
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "b0rk")[0] == 2
     assert run_cli(capsys, "normalize", "--group", "bn", "--n", "3", "s7")[0] == 3
     assert run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s1", "s4")[0] == 3
@@ -80,6 +80,24 @@ def test_exit_codes(capsys):
     # angles take ASCII decimal integers only; Fraction() would read 1_0/3 as 10/3
     for mu1 in ("1_0/3", "1/3_3"):
         assert run_cli(capsys, "cocycle-build", "--n", "3", "--mu1", mu1)[0] == 2
+    # cocycle documents, each turned down by its own branch (DOC: the file)
+    braid = {"n": 2, "entries": [["s1", "x1", "th1"], ["s1", "x2", "0"]]}
+    pure = {"n": 3, "entries": [["a(1,2)", "x1", "1/2"]]}
+    verdict = ["verdict", "--cocycle", "DOC", "--family"]
+    for doc, argv, message in (
+        ({"entries": []}, [*verdict, "bn"], "needs 'n' and 'entries'"),
+        ({"n": 3, "entries": [["s3", "x1", "0"]]}, [*verdict, "bn"], "s3 out of range"),
+        ({"n": 3, "entries": [["a(1,4)", "x1", "0"]]}, [*verdict, "pn"], "a(1,4) out of range"),
+        ({"n": 3, "entries": [["s1", "x1", "0"], ["a(1,2)", "x1", "0"]]}, [*verdict, "pn"],
+         "mixes braid and pure"),
+        ({**pure, "omega": [["a(1,4)", "z", "0"]]}, [*verdict, "mackey"], "bad omega label"),
+        (pure, ["cocycle-classify", "DOC", "DOC"], "expects braid cocycle tables"),
+        (braid, [*verdict, "pn"], "family pn expects a pure cocycle table"),
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([str(path) if arg == "DOC" else arg for arg in argv]) == 2, message
+        assert message in capsys.readouterr().err
 
 
 def test_oversized_braid_word_fails_fast(capsys):
@@ -161,6 +179,27 @@ def test_bench_equal_pair_golden(capsys):
     assert runpy.run_path(str(path))["main"](["--pair", "12", "10240", "0"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "20fb2b74f18c8eb4d0902a3aba9b3d583340590bb0039029e9e08c0aa0ee9dec"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_bench_runner_times_both_trees_in_one_child(monkeypatch):
+    # the child that times one seeded input of every scripts/bench_*.py curve
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"
+    bench = runpy.run_path(str(path))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, *sys.path]))
+    trees, marks = {"before": src, "after": src}, {}
+    # the smallest equal case: a time for each tree, and paired ratios
+    job = {"workload": 0, "n": 4, "L": 40, "seed": 0}
+    result = bench["run_seed"](str(path), job, trees, marks)
+    assert marks == {} and set(result["best"]) == set(trees)
+    assert all(seconds > 0 for seconds in result["best"].values())
+    assert len(result["ratios"]) == bench["PAIRS"] and min(result["ratios"]) > 0
+    # equal on 10^9 strands exits 5 at once under the child's 1 GiB limit: each
+    # tree is marked "memory", in a child of its own, and nothing is timed
+    job = {"workload": 0, "n": 10**9, "L": 40, "seed": 0}
+    assert bench["run_seed"](str(path), job, trees, marks) == {"best": {}, "ratios": []}
+    assert marks == {"before": "memory", "after": "memory"}
 
 
 def test_act(capsys):

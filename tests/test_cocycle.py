@@ -622,6 +622,7 @@ def test_sigma_two_cocycle_identity_and_normalization():
             ) + sigma.evaluate(b, cc)
             assert sigma.evaluate(a, e) == Angle.zero()
             assert sigma.evaluate(e, a) == Angle.zero()
+            assert a * a.inverse() == e and a.inverse() * a == e
         # restriction to the free subgroup vanishes
         for _ in range(10):
             x = SemidirectElement(
@@ -787,6 +788,10 @@ def test_mackey_verdicts():
     simple = build_pure_cocycle(n, {(1, 2): [TH1, Angle.zero(), Angle.zero()]})
     v = evaluate_conditions("mackey", simple, zero_omega)
     assert v.verdict == "SimpleAndUniqueTrace"  # iff on three strands
+    # from four strands a nontorsion nu_k is only sufficient; omega is not read
+    four = build_pure_cocycle(4, {(1, 2): [TH1] + [Angle.zero()] * 3})
+    v = evaluate_conditions("mackey", four, TabulatedOmega(4, {}))
+    assert v.verdict == "GuaranteedSimpleAndUniqueTrace" and v.details["nu1"] == "th1"
     flat = build_pure_cocycle(n, {})
     v = evaluate_conditions("mackey", flat, zero_omega)
     assert v.verdict == "NotFactor" and v.details["kleppner"] == "fails"

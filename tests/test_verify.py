@@ -86,8 +86,10 @@ def test_verify_registry_ids():
 
 
 # sha256 of the stdout of ``braidphase verify --suite all --seed 0 --max-n 6``,
-# without timings.  Any change to a check's seeded inputs, outcome, id or
-# citation moves it.
+# without timings.  The report holds each check's id, suite, citation, status
+# and counterexample, and the summary: a change of id, suite or citation moves
+# it, and new seeded inputs move it only when they change a status or a
+# counterexample (null while the check passes).
 VERIFY_REPORT_SHA256 = "d8d00d022af21abf0383fd1c27cdfc5d2590fdc0aee2d740acef5a642e2b10ee"
 
 
