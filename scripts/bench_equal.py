@@ -57,18 +57,20 @@ LOOP_S = 0.02
 METHOD = (
     "Each seeded input is timed in one fresh child process, which loads both "
     "source trees as two packages and gives them the same call. Each tree makes "
-    "one untimed warm-up call, and the trees must print the same output; then "
-    f"come {PAIRS} pairs of samples, fewer once the pairs have taken {REPEAT_S} s, "
-    "with the first tree alternating from pair to pair. A sample is the time per "
-    f"call of a loop of calls lasting at least {LOOP_S * 1000:.0f} ms (one call, if "
-    f"it lasts longer). before, after: the median over the {len(SEEDS)} seeds of "
-    "each tree's best sample, ms. ratio: the 10th percentile, median and 90th "
-    "percentile of after/before over all pairs of the case; null when either side "
-    "is a mark. 'memory' marks a tree that ran out of memory_limit_mb (a CLI call "
-    "exiting 5 included) and 'timeout' one with a call running past timeout_s; "
-    "the child then ends, the other tree is timed alone in a fresh child, and "
-    "the marked tree runs no further seed, nor longer words of that command and "
-    "n, which carry the same mark."
+    "one warm-up call, and the trees must print the same output; the warm-up "
+    f"calls are untimed unless each lasts {LOOP_S * 1000:.0f} ms or longer, when "
+    f"they are the first pair of samples. Then come pairs of samples up to {PAIRS} "
+    f"pairs, fewer once the pairs have taken {REPEAT_S} s, with the first tree "
+    "alternating from pair to pair. A sample is the time per call of a loop of "
+    f"calls lasting at least {LOOP_S * 1000:.0f} ms (one call, if it lasts longer). "
+    f"before, after: the median over the {len(SEEDS)} seeds of each tree's median "
+    "sample, ms, from the same pairs as ratio. ratio: the 10th percentile, median "
+    "and 90th percentile of after/before over all pairs of the case; null when "
+    "either side is a mark. 'memory' marks a tree that ran out of memory_limit_mb "
+    "(a CLI call exiting 5 included) and 'timeout' one with a call running past "
+    "timeout_s; the child then ends, the other tree is timed alone in a fresh "
+    "child, and the marked tree runs no further seed, nor longer words of that "
+    "command and n, which carry the same mark."
 )
 
 
@@ -146,10 +148,39 @@ def load_tree(side: str, src: str):
     return package
 
 
+class Failed(Exception):
+    """A tree's call ran out of memory or past TIMEOUT_S; args: (side, mark)."""
+
+
+def time_pairs(calls: dict) -> dict[str, list[float]]:
+    """The samples {side: [seconds per call]} of each tree's call, taken in
+    pairs as METHOD says; raises Failed for the tree whose call fails.  The
+    warm-up calls, one a tree, must print the same output, and when each
+    lasts LOOP_S or longer they are the first pair."""
+    samples, warm, start = {side: [] for side in calls}, {}, time.perf_counter()
+    order = list(calls)
+    try:
+        for side in order:  # also fills the lazy caches: parser, regex
+            warm[side] = sample(calls[side], 0)
+        if len({str(value) for _, value in warm.values()}) > 1:
+            raise SystemExit("the trees print different outputs")
+        if min(seconds for seconds, _ in warm.values()) >= LOOP_S:
+            for side in order:
+                samples[side].append(warm[side][0])
+            order.reverse()
+        while len(samples[order[0]]) < PAIRS and time.perf_counter() - start < REPEAT_S:
+            for side in order:
+                samples[side].append(sample(calls[side])[0])
+            order.reverse()
+    except (MemoryError, Timeout) as exc:
+        raise Failed(side, "memory" if isinstance(exc, MemoryError) else "timeout") from None
+    return samples
+
+
 def run_case(workloads: list, job: dict) -> None:
     """Child process: time the seeded input of the job {"workload": index, "n",
     "L", "seed", "trees": {side: src}} on each tree in turn, under MEMORY_MB;
-    print {"best": {side: seconds}, "ratios": [after/before per pair]}, or
+    print {"median": {side: seconds}, "ratios": [after/before per pair]}, or
     {"failed": side, "mark": "memory" or "timeout"} as soon as one fails."""
     import resource
 
@@ -157,26 +188,16 @@ def run_case(workloads: list, job: dict) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     signal.signal(signal.SIGALRM, _on_alarm)
     prepare = workloads[job["workload"]][1](job["n"], job["L"], job["seed"])
-    calls, samples, outputs = {}, {side: [] for side in job["trees"]}, set()
+    calls = {side: prepare(load_tree(side, src)) for side, src in job["trees"].items()}
     try:
-        for side, src in job["trees"].items():
-            calls[side] = prepare(load_tree(side, src))
-        for side, call in calls.items():  # untimed; also fills the lazy caches: parser, regex
-            outputs.add(str(sample(call, 0)[1]))
-        if len(outputs) > 1:
-            raise SystemExit(f"the trees print different outputs: {job}")
-        order, start = list(calls), time.perf_counter()
-        while len(samples[order[0]]) < PAIRS and time.perf_counter() - start < REPEAT_S:
-            for side in order:
-                samples[side].append(sample(calls[side])[0])
-            order.reverse()
-    except (MemoryError, Timeout) as exc:
-        mark = "memory" if isinstance(exc, MemoryError) else "timeout"
+        samples = time_pairs(calls)
+    except Failed as exc:
+        side, mark = exc.args
         print(json.dumps({"failed": side, "mark": mark}))
         return
     ratios = [a / b for b, a in zip(samples.get("before", []), samples.get("after", []))]
-    print(json.dumps({"best": {side: min(times) for side, times in samples.items()},
-                      "ratios": ratios}))
+    medians = {side: statistics.median(times) for side, times in samples.items()}
+    print(json.dumps({"median": medians, "ratios": ratios}))
 
 
 def run_seed(child: str, job: dict, trees: dict[str, str], marks: dict) -> dict:
@@ -194,7 +215,7 @@ def run_seed(child: str, job: dict, trees: dict[str, str], marks: dict) -> dict:
         if "failed" not in result:
             return result
         marks[result["failed"]] = result["mark"]
-    return {"best": {}, "ratios": []}
+    return {"median": {}, "ratios": []}
 
 
 def ratio_band(ratios: list[float]) -> list[float]:
@@ -213,14 +234,14 @@ def scaling(trees: dict[str, str], workloads: list, child: str) -> list[dict]:
         for n in STRANDS:
             marks = {}  # a tree's mark holds for the longer words too
             for length in LENGTHS:
-                best, ratios = {side: [] for side in trees}, []
+                medians, ratios = {side: [] for side in trees}, []
                 for seed in SEEDS:
                     job = {"workload": index, "n": n, "L": length, "seed": seed}
                     result = run_seed(child, job, trees, marks)
-                    for side, seconds in result["best"].items():
-                        best[side].append(seconds)
+                    for side, seconds in result["median"].items():
+                        medians[side].append(seconds)
                     ratios += result["ratios"]
-                row = {side: marks.get(side) or round(statistics.median(best[side]) * 1000, 3)
+                row = {side: marks.get(side) or round(statistics.median(medians[side]) * 1000, 3)
                        for side in trees}
                 case = {**key, "n": n, "L": length, **row,
                         "ratio": None if marks else ratio_band(ratios)}

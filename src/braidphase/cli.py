@@ -168,8 +168,8 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommands' parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="braidphase",
         description="Exact braid-group, braid-action and circle-cocycle calculator.",
@@ -230,11 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:  # one level; leftovers fail as in a nested parse
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

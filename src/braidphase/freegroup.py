@@ -147,11 +147,14 @@ def _parse_token(token: str, letter: str, power: bool = True):
 
 
 def _parse_word(text: str, letter: str) -> list:
-    """The tokens of a ``*``-joined word; spaces are dropped and ``e`` is the identity."""
+    """The tokens of a ``*``-joined word; spaces are dropped and ``e`` is the identity.
+    Each distinct token is read once, in text order, so the first bad one is reported."""
     s = text.replace(" ", "")
     if s in ("", "e"):
         return []
-    return [_parse_token(token, letter) for token in s.split("*")]
+    tokens = s.split("*")
+    parsed = {token: _parse_token(token, letter) for token in dict.fromkeys(tokens)}
+    return list(map(parsed.__getitem__, tokens))
 
 
 def _word_text(letter: str, runs) -> str:

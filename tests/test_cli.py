@@ -100,6 +100,46 @@ def test_exit_codes(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        ([], "braidphase: error: the following arguments are required: command"),
+        # the list of choices after it is quoted differently across Python versions
+        (["bogus"], "braidphase: error: argument command: invalid choice: 'bogus'"),
+        (["equal", "--group", "bn", "--n", "3", "s1", "s1", "extra"],
+         "braidphase: error: unrecognized arguments: extra"),
+        (["equal", "--group", "bn", "s1", "s1"],
+         "braidphase equal: error: the following arguments are required: --n"),
+        (["act", "--n", "x", "s1", "x1"],
+         "braidphase act: error: argument --n: invalid int value: 'x'"),
+    ],
+)
+def test_usage_errors_match_the_nested_parse(capsys, argv, last_line):
+    # main reads a known subcommand's arguments with that subcommand's parser
+    # alone; its usage errors must read as the top-level parser's nested parse
+    # of the same argv, leftovers reported by the top level
+    parser, _ = cli.build_parser()
+    with pytest.raises(SystemExit) as nested:
+        parser.parse_args(argv)
+    expected = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert nested.value.code == exc.value.code == 2
+    assert err == expected and err.splitlines()[-1].startswith(last_line)
+
+
+def test_subcommand_help_and_console_argv(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["equal", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: braidphase equal")
+    # the console script calls main() and the arguments come from sys.argv
+    monkeypatch.setattr(sys, "argv", ["braidphase", "equal", "--group", "bn", "--n", "3",
+                                      "s1*s2*s1", "s2*s1*s2"])
+    assert main() == 0 and capsys.readouterr().out == "true\n"
+
+
 def test_oversized_braid_word_fails_fast(capsys):
     start = time.perf_counter()
     assert main(["normalize", "--group", "bn", "--n", "3", "s1^1000000000"]) == 2
@@ -192,14 +232,49 @@ def test_bench_runner_times_both_trees_in_one_child(monkeypatch):
     # the smallest equal case: a time for each tree, and paired ratios
     job = {"workload": 0, "n": 4, "L": 40, "seed": 0}
     result = bench["run_seed"](str(path), job, trees, marks)
-    assert marks == {} and set(result["best"]) == set(trees)
-    assert all(seconds > 0 for seconds in result["best"].values())
+    assert marks == {} and set(result["median"]) == set(trees)
+    assert all(seconds > 0 for seconds in result["median"].values())
     assert len(result["ratios"]) == bench["PAIRS"] and min(result["ratios"]) > 0
     # equal on 10^9 strands exits 5 at once under the child's 1 GiB limit: each
     # tree is marked "memory", in a child of its own, and nothing is timed
     job = {"workload": 0, "n": 10**9, "L": 40, "seed": 0}
-    assert bench["run_seed"](str(path), job, trees, marks) == {"best": {}, "ratios": []}
+    assert bench["run_seed"](str(path), job, trees, marks) == {"median": {}, "ratios": []}
     assert marks == {"before": "memory", "after": "memory"}
+
+
+def test_bench_runner_counts_long_warm_up_calls_as_the_first_pair():
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"
+    bench = runpy.run_path(str(path))
+    time_pairs, loop_s = bench["time_pairs"], bench["LOOP_S"]
+    time_pairs.__globals__["PAIRS"] = 3
+    made = []
+
+    def call(side, seconds, output="same"):
+        def run():
+            made.append(side)
+            time.sleep(seconds)
+            if output is MemoryError:
+                raise MemoryError
+            return output
+        return run
+
+    # calls of LOOP_S or longer: the warm-up pair is the first, and the
+    # first tree of the next pair alternates; each sample is one call
+    samples = time_pairs({"before": call("before", 1.5 * loop_s),
+                          "after": call("after", 1.5 * loop_s)})
+    assert {side: len(times) for side, times in samples.items()} == {"before": 3, "after": 3}
+    assert made == ["before", "after", "after", "before", "before", "after"]
+    # short calls: the warm-up calls are untimed and three pairs follow them
+    made.clear()
+    samples = time_pairs({"before": call("before", 0), "after": call("after", 0)})
+    assert {side: len(times) for side, times in samples.items()} == {"before": 3, "after": 3}
+    assert made[:3] == ["before", "after", "before"]
+    # the trees must print the same output, and a failure names its tree
+    with pytest.raises(SystemExit, match="different outputs"):
+        time_pairs({"before": call("before", 0, "true"), "after": call("after", 0, "false")})
+    with pytest.raises(bench["Failed"]) as failed:
+        time_pairs({"before": call("before", 0), "after": call("after", 0, MemoryError)})
+    assert failed.value.args == ("after", "memory")
 
 
 def test_act(capsys):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidphase.braid import BraidWord, PureWord, parse_braid_word, parse_pure_word
-from braidphase.errors import RankError
-from braidphase.freegroup import Character, FreeWord, parse_free_word
+from braidphase.errors import ParseError, RankError
+from braidphase.freegroup import Character, FreeWord, _parse_token, _parse_word, parse_free_word
 from braidphase.phase import Angle
+from test_cli import _TEXT, _TOKENS
 
 
 def raw_letters(rank: int, max_len: int = 20):
@@ -99,6 +100,56 @@ def test_char_is_homomorphism_and_kills_conjugation():
         v = FreeWord(3, letters[len(letters) // 2 :])
         assert f(u * v) == f(u) + f(v)
         assert f(u.conjugate_by(v)) == f(u)
+
+
+def _parse_word_per_token(text: str, letter: str) -> list:
+    """The reference tokenizer: one _parse_token call per token, in text order."""
+    s = text.replace(" ", "")
+    if s in ("", "e"):
+        return []
+    return [_parse_token(token, letter) for token in s.split("*")]
+
+
+def _outcome(parse, text: str, letter: str):
+    try:
+        return parse(text, letter)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _assert_same_parse(text: str) -> None:
+    for letter in "xsa":
+        assert _outcome(_parse_word, text, letter) == _outcome(
+            _parse_word_per_token, text, letter
+        ), (text, letter)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(_TEXT, st.lists(_TOKENS, max_size=6).map(lambda ts: "*".join(ts + ts[::-1]))))
+def test_parse_word_matches_per_token_reference_on_fuzz_text(text):
+    _assert_same_parse(text)
+
+
+def test_parse_word_matches_per_token_reference():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        runs = [(rng.randint(1, n - 1), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(0, 40))]
+        pairs = [((i, rng.randint(i + 1, n)), e) for i, e in runs]
+        for w in (FreeWord(n, runs), BraidWord(n, runs), PureWord(n, pairs)):
+            _assert_same_parse(str(w))
+            _assert_same_parse(str(w ** 3))  # tokens repeat
+    for text in (
+        "s1^+2*x1^+2", " s1 * s2 ^ -1 ", "a( 1 , 3 )*a( 1 , 3 )^-1", "a(1,3)^1_0*x2^1_0",
+        "s\u0661*x\u0662^\u0663", "s1^\u00b2", "x1^\u00b2", "s1**s2", "s1*", "*", "e", "",
+        "e*e", "s1*e", "s0*x0^0", "a(2,1)", "a(1,2,3)", "s1^1.5", "s1^",
+    ):
+        _assert_same_parse(text)
+    # two different bad tokens, each repeated: the first in the text is reported
+    for text, bad in (("s1*b0rk*s2*zz*b0rk*s1", "b0rk"), ("s2*zz*b0rk*s1*zz", "zz")):
+        assert _outcome(_parse_word, text, "s") == f"ParseError: cannot parse token {bad!r}"
+        _assert_same_parse(text)
 
 
 def test_parse_print_roundtrip():
