@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -816,6 +817,87 @@ def test_verdict_json_shape():
     assert set(doc) == {"family", "n", "verdict", "by", "details"}
     assert doc["verdict"] == "SimpleAndUniqueTrace"
     assert isinstance(doc["by"], str) and doc["by"]
+
+
+def _verdict_grid() -> list[dict]:
+    """Verdict documents of seeded tables at n = 2..6 under every family.
+
+    Pure tables are rational, plus th1 in one entry (a nontorsion column) or
+    th1 and -th1 in one column (torsion column sums, and nontorsion row sums
+    when the two rows differ); omega values are rational or add th2.
+    """
+    rng = random.Random(23)
+    out = []
+
+    def record(family, table, omega=None):
+        try:
+            out.append(evaluate_conditions(family, table, omega).to_json())
+        except MissingOmegaError as exc:
+            out.append({"family": family, "error": str(exc)})
+
+    def small():
+        return Angle.rational(rng.randint(0, 5), rng.choice((1, 2, 3, 4)))
+
+    for n in range(2, 7):
+        pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        for _ in range(8):
+            c = random_braid_cocycle(n, rng, ("th1",) if rng.random() < 0.5 else ())
+            for family in ("bn", "an", "BN"):
+                record(family, c)
+            rows = {pair: [small() for _ in range(n)] for pair in pairs}
+            mode, k = rng.randrange(3), rng.randrange(n)
+            if mode == 1:
+                rows[rng.choice(pairs)][k] += TH1
+            elif mode == 2:
+                rows[rng.choice(pairs)][k] += TH1
+                rows[rng.choice(pairs)][k] -= TH1
+            for table in (build_pure_cocycle(n, rows), restrict_to_pure(c)):
+                record("pn", table)
+                record("mackey", table)
+                values = {}
+                for i, j in pairs:
+                    for key in ((f"a({i},{j})", "z"), ("z", f"a({i},{j})")):
+                        extra = Angle.symbol("th2") if rng.random() < 0.15 else Angle.zero()
+                        values[key] = small() + extra
+                record("mackey", table, TabulatedOmega(n, values))
+    return out
+
+
+# sha256 of the JSON list of _verdict_grid()'s documents.
+VERDICT_GRID_SHA256 = "9bfddecff32a4ed76d0fc2d20496b42e4d260861b4802d04a1f67a30bddfc72e"
+
+
+def test_verdict_golden():
+    docs = _verdict_grid()
+    branches = {
+        (d["family"], d["verdict"], d["by"], "note" in d["details"],
+         "mu_torsion_order" in d["details"], "kleppner" in d["details"])
+        for d in docs if "error" not in d
+    }
+    bn, an = "thm:braid-deformation-iff", "prop:annular-kleppner-iff"
+    pn_iff, pn_suff = "thm:pure-deformation-iff-rank2", "thm:pure-deformation-sufficient"
+    pn_kl = "lem:pure-kleppner-criterion"
+    mk, mk_iff = "prop:pure-tower-mackey", "prop:pure-tower-mackey-iff-rank3"
+    assert branches == {
+        ("bn", "NotFactor", bn, False, True, False),
+        ("bn", "SimpleAndUniqueTrace", bn, False, False, False),
+        ("an", "NotFactor", an, False, False, False),
+        ("an", "SimpleAndUniqueTrace", an, False, False, False),
+        ("pn", "SimpleAndUniqueTrace", pn_iff, False, False, False),
+        ("pn", "NotFactor", pn_iff, False, False, False),  # n = 2 stops after nu_k
+        ("pn", "GuaranteedSimpleAndUniqueTrace", pn_suff, False, False, False),
+        ("pn", "Indeterminate", pn_kl, False, False, True),
+        ("pn", "NotFactor", pn_kl, False, False, True),
+        ("mackey", "SimpleAndUniqueTrace", mk_iff, False, False, False),
+        ("mackey", "GuaranteedSimpleAndUniqueTrace", mk, False, False, False),
+        ("mackey", "Indeterminate", mk, True, False, True),  # n = 3
+        ("mackey", "Indeterminate", mk, False, False, True),
+        ("mackey", "NotFactor", mk_iff, False, False, True),  # n = 3
+        ("mackey", "NotFactor", mk, False, False, True),
+    }
+    assert {"family": "mackey", "error": "the mackey family needs omega values"} in docs
+    text = json.dumps(docs)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_GRID_SHA256
 
 
 # ---------------------------------------------------------------------------
