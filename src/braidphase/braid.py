@@ -265,7 +265,7 @@ def is_inner_for_pure(b: BraidWord) -> FreeWord | None:
     trivial centre; on one strand the identity is returned.
     """
     if not is_pure(b):
-        raise ValueError("braid word is not pure")
+        raise RankError("braid word is not pure")
     n = b.strands
     if n == 1:
         return FreeWord.identity(1)
@@ -488,7 +488,7 @@ def rewrite_pure(b: BraidWord) -> PureWord:
     measured n = 4 word of 86 letters combs to 18,598 letters).
     """
     if not is_pure(b):
-        raise ValueError("braid word is not pure")
+        raise RankError("braid word is not pure")
     out: list[tuple[tuple[int, int], int]] = []
     current = b
     for m in range(b.strands, 1, -1):
@@ -516,7 +516,7 @@ def linking_numbers(b: BraidWord) -> dict[tuple[int, int], int]:
         if e % 2:
             strand[i - 1], strand[i] = q, p
     if strand != start:
-        raise ValueError("braid word is not pure")
+        raise RankError("braid word is not pure")
     return {pair: count // 2 for pair, count in crossings.items()}
 
 

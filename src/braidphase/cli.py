@@ -12,10 +12,11 @@ Subcommands:
 * ``verify``          run the seeded identity-verification suites
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including a
-braid cocycle table that fails validation, a cocycle table of more than
-100,000 entries (``cocycle.MAX_COCYCLE_ENTRIES``), and a file that cannot be
-read or written: missing, a directory, or not UTF-8), 3 rank or strand mismatch
-(including a non-positive strand count and ``verify --max-n`` below 2), 4
+braid cocycle table that fails validation, a table of the wrong kind for the
+family, a table of more than 100,000 entries (``cocycle.MAX_COCYCLE_ENTRIES``)
+read or built, and a file that cannot be read or written: missing, a
+directory, or not UTF-8), 3 rank or strand mismatch (including a non-positive
+strand count, an impure ``rewrite-pure`` word and ``verify --max-n`` below 2), 4
 missing external cocycle data, 5 out of memory (a short input such as
 ``equal --group bn --n 1000000000 s1 s1`` can ask for more than the process
 may allocate).
@@ -34,10 +35,10 @@ import functools
 import json
 import sys
 
-from . import cocycle as co
 from .artin import apply_braid
-from .braid import equal, garside_normal_form, is_pure, parse_braid_word, rewrite_pure
+from .braid import equal, garside_normal_form, parse_braid_word, rewrite_pure
 from .cocycle import (
+    _check_entry_cap,
     build_braid_cocycle,
     cocycle_from_json,
     cocycle_to_json,
@@ -94,15 +95,12 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_rewrite_pure(args) -> int:
-    b = parse_braid_word(args.word, args.n)
-    if not is_pure(b):
-        print("error: braid word is not pure", file=sys.stderr)
-        return EXIT_RANK
-    print(rewrite_pure(b))
+    print(rewrite_pure(parse_braid_word(args.word, args.n)))
     return EXIT_OK
 
 
 def _cmd_cocycle_build(args) -> int:
+    _check_entry_cap(args.n, args.restrict_to_pure)
     mu1 = parse_angle(args.mu1)
     mu2 = parse_angle(args.mu2) if args.mu2 is not None else None
     diag = None
@@ -126,8 +124,6 @@ def _load_cocycle(path: str):
 def _cmd_cocycle_classify(args) -> int:
     c1 = cocycle_from_json(_load_cocycle(args.first))
     c2 = cocycle_from_json(_load_cocycle(args.second))
-    if not isinstance(c1, co.BraidOneCocycle) or not isinstance(c2, co.BraidOneCocycle):
-        raise ParseError("classification expects braid cocycle tables")
     witness = similar_braid_cocycles(c1, c2)
     mu1a, mu2a = mu_params(c1)
     mu1b, mu2b = mu_params(c2)
@@ -146,15 +142,11 @@ def _cmd_cocycle_classify(args) -> int:
 def _cmd_verdict(args) -> int:
     doc = _load_cocycle(args.cocycle)
     table = cocycle_from_json(doc)
-    family = args.family
-    if family in ("bn", "an") and not isinstance(table, co.BraidOneCocycle):
-        raise ParseError(f"family {family} expects a braid cocycle table")
-    if family in ("pn", "mackey") and not isinstance(table, co.PureOneCocycle):
-        raise ParseError(f"family {family} expects a pure cocycle table")
-    omega = None
-    if family == "mackey":
+    try:  # the table's kind is checked before omega is asked for, and read
+        verdict = evaluate_conditions(args.family, table)
+    except MissingOmegaError:
         omega = omega_from_json(doc.get("omega", []), table.n)
-    verdict = evaluate_conditions(family, table, omega)
+        verdict = evaluate_conditions(args.family, table, omega)
     print(json.dumps(verdict.to_json(), indent=2))
     return EXIT_OK
 

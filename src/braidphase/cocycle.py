@@ -77,10 +77,6 @@ __all__ = [
     "sigma_regular",
     "center_element",
     "evaluate_conditions",
-    "evaluate_braid_conditions",
-    "evaluate_pure_conditions",
-    "evaluate_annular_conditions",
-    "evaluate_mackey_conditions",
     "cohomology_parameters",
     "random_braid_cocycle",
     "cocycle_to_json",
@@ -89,7 +85,7 @@ __all__ = [
 
 # Criterion identifiers used in verdicts and reports.  Each names the exact
 # algebraic criterion the verdict relies on; the statements live in the
-# docstrings of the evaluate_* functions below.
+# docstring of evaluate_conditions below.
 CIT_BRAID_IFF = "thm:braid-deformation-iff"
 CIT_PURE_SUFFICIENT = "thm:pure-deformation-sufficient"
 CIT_PURE_IFF_RANK2 = "thm:pure-deformation-iff-rank2"
@@ -262,7 +258,10 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
     Two valid cocycles are similar exactly when their (mu1, mu2) parameters
     agree; the witness is produced by the recurrence f(x_1) = 0,
     f(x_{i+1}) = f(x_i) + (c1 - c2)(s_i, x_i) and verified before returning.
+    A table that is not a braid table raises :class:`ParseError`.
     """
+    if not isinstance(c1, BraidOneCocycle) or not isinstance(c2, BraidOneCocycle):
+        raise ParseError("classification expects braid cocycle tables")
     if c1.n != c2.n:
         raise RankError(f"rank mismatch: {c1.n} vs {c2.n}")
     if mu_params(c1) != mu_params(c2):
@@ -591,125 +590,85 @@ class Verdict:
         }
 
 
-def evaluate_braid_conditions(c: BraidOneCocycle) -> Verdict:
-    """Braid-group verdict: an if-and-only-if criterion.
+# What sets the families apart: a braid family's citation, and a pure family's
+# iff rank, its citations at that rank, above it and for Kleppner's condition,
+# and its row-sum key.
+_BRAID_FAMILIES = {"bn": CIT_BRAID_IFF, "an": CIT_ANNULAR_IFF}
+_PURE_FAMILIES = {
+    "pn": (2, CIT_PURE_IFF_RANK2, CIT_PURE_SUFFICIENT, CIT_PURE_KLEPPNER,
+           "phi(a({i},{j}),x1..x{n})"),
+    "mackey": (3, CIT_MACKEY_IFF_RANK3, CIT_MACKEY, CIT_MACKEY, "condition-iv(a({i},{j}))"),
+}
 
-    The deformed crossed products are simple with a unique trace, and the
-    weak-closure version is a factor, exactly when the total phase mu is
-    nontorsion.
+
+def evaluate_conditions(
+    family: str, table: BraidOneCocycle | PureOneCocycle, omega: OmegaOracle | None = None
+) -> Verdict:
+    """The verdict of family 'bn', 'an', 'pn' or 'mackey' (any case) on a table.
+
+    ``bn`` and ``an`` read a braid table: the deformed crossed products are
+    simple with a unique trace, and the weak closure is a factor, exactly
+    when the total phase mu is nontorsion.  For the annular braid group (one
+    strand more) twisted C*-simplicity, the unique trace property and
+    Kleppner's condition are all equivalent; an external 2-cocycle component
+    cannot interfere, since central elements are regular for any 2-cocycle
+    lifted from the quotient.
+
+    ``pn`` and ``mackey`` read a pure table; ``mackey``, the 2-cocycle
+    sigma(xa, yb) = phi(a, y) + omega(a, b) on the tower group, needs
+    ``omega``.  Some column sum nu_k nontorsion is sufficient, and an iff on
+    two strands (pn) or three (mackey).  Otherwise Kleppner's condition asks
+    whether some row sum phi(a_{ij}, x1...xn), for mackey plus
+    omega(a_{ij}, z) - omega(z, a_{ij}), is nontorsion: if none is the weak
+    closure is not a factor, and if one is the answer is open (Indeterminate).
+
+    A table of the other kind raises :class:`ParseError`.
     """
-    mu = mu_phi(c)
-    details = {"mu": str(mu), "mu_is_torsion": str(mu.is_torsion).lower()}
-    if mu.is_torsion:
-        details["mu_torsion_order"] = str(mu.torsion_order())
-        return Verdict("bn", c.n, "NotFactor", CIT_BRAID_IFF, details)
-    return Verdict("bn", c.n, "SimpleAndUniqueTrace", CIT_BRAID_IFF, details)
-
-
-def evaluate_pure_conditions(c: PureOneCocycle) -> Verdict:
-    """Pure-braid verdict.
-
-    Some column sum nu_k nontorsion is sufficient for simplicity and unique
-    trace (and an iff on two strands).  When every nu_k is torsion the
-    Kleppner criterion reduces to the row sums phi(a_{ij}, x1...xn): if those
-    are all torsion as well the weak closure is not a factor; if some row sum
-    is nontorsion the sufficient condition fails while Kleppner holds, and
-    the answer is genuinely open, so the verdict is Indeterminate.
-    """
-    n = c.n
-    nus = [nu(c, k) for k in range(1, n + 1)]
+    family = family.lower()
+    if family not in _BRAID_FAMILIES and family not in _PURE_FAMILIES:
+        raise ValueError(f"unknown condition family {family!r}")
+    kind = "braid" if family in _BRAID_FAMILIES else "pure"
+    if not isinstance(table, BraidOneCocycle if kind == "braid" else PureOneCocycle):
+        raise ParseError(f"family {family} expects a {kind} cocycle table")
+    n = table.n
+    if kind == "braid":
+        mu = mu_phi(table)
+        details = {"mu": str(mu), "mu_is_torsion": str(mu.is_torsion).lower()}
+        if mu.is_torsion and family == "bn":
+            details["mu_torsion_order"] = str(mu.torsion_order())
+        verdict = "NotFactor" if mu.is_torsion else "SimpleAndUniqueTrace"
+        return Verdict(family, n, verdict, _BRAID_FAMILIES[family], details)
+    if family == "mackey" and omega is None:
+        raise MissingOmegaError("the mackey family needs omega values")
+    iff_rank, cit_iff, cit_sufficient, cit_kleppner, key = _PURE_FAMILIES[family]
+    nus = [nu(table, k) for k in range(1, n + 1)]
     details = {f"nu{k}": str(v) for k, v in enumerate(nus, start=1)}
     if any(not v.is_torsion for v in nus):
-        if n == 2:
-            return Verdict("pn", n, "SimpleAndUniqueTrace", CIT_PURE_IFF_RANK2, details)
-        return Verdict(
-            "pn", n, "GuaranteedSimpleAndUniqueTrace", CIT_PURE_SUFFICIENT, details
-        )
-    if n == 2:
-        return Verdict("pn", n, "NotFactor", CIT_PURE_IFF_RANK2, details)
-    row_sums = {
-        f"phi(a({i},{j}),x1..x{n})": Angle.combination((1, v) for v in row)
-        for (i, j), row in zip(_pairs(n), c.rows)
-    }
-    details.update({k: str(v) for k, v in row_sums.items()})
-    if any(not v.is_torsion for v in row_sums.values()):
+        if n == iff_rank:
+            return Verdict(family, n, "SimpleAndUniqueTrace", cit_iff, details)
+        return Verdict(family, n, "GuaranteedSimpleAndUniqueTrace", cit_sufficient, details)
+    if family == "pn" and n == 2:  # the one row sum is nu_1 + nu_2
+        return Verdict(family, n, "NotFactor", cit_iff, details)
+    zw = center_z_pure_word(n) if family == "mackey" else None
+    sums = []
+    for (i, j), row in zip(_pairs(n), table.rows):
+        total = Angle.combination((1, v) for v in row)
+        if zw is not None:
+            aw = PureWord(n, (((i, j), 1),))
+            total = total + omega(aw, zw) - omega(zw, aw)
+        sums.append(total)
+        details[key.format(i=i, j=j, n=n)] = str(total)
+    if any(not v.is_torsion for v in sums):
         details["kleppner"] = "holds"
-        return Verdict("pn", n, "Indeterminate", CIT_PURE_KLEPPNER, details)
-    details["kleppner"] = "fails"
-    return Verdict("pn", n, "NotFactor", CIT_PURE_KLEPPNER, details)
-
-
-def evaluate_annular_conditions(c: BraidOneCocycle) -> Verdict:
-    """Annular verdict for the induced 2-cocycle on F_n x| B_n.
-
-    For the one-strand-larger annular braid group, twisted C*-simplicity,
-    the unique trace property and Kleppner's condition are all equivalent,
-    and Kleppner's condition holds exactly when mu is nontorsion (an
-    external 2-cocycle component cannot interfere: central elements are
-    regular for any 2-cocycle lifted from the quotient).
-    """
-    mu = mu_phi(c)
-    details = {"mu": str(mu), "mu_is_torsion": str(mu.is_torsion).lower()}
-    verdict = "NotFactor" if mu.is_torsion else "SimpleAndUniqueTrace"
-    return Verdict("an", c.n, verdict, CIT_ANNULAR_IFF, details)
-
-
-def evaluate_mackey_conditions(phi: PureOneCocycle, omega: OmegaOracle) -> Verdict:
-    """Verdict for sigma(xa, yb) = phi(a, y) + omega(a, b) on the tower group.
-
-    Some nu_k nontorsion is sufficient (and equivalent on three strands).
-    Otherwise Kleppner's condition asks whether some corrected row sum
-    phi(a_{ij}, x1...xn) + omega(a_{ij}, z) - omega(z, a_{ij}) is nontorsion;
-    failure rules out the factor, success leaves the question open for four
-    or more strands.
-    """
-    n = phi.n
-    nus = [nu(phi, k) for k in range(1, n + 1)]
-    details = {f"nu{k}": str(v) for k, v in enumerate(nus, start=1)}
-    if any(not v.is_torsion for v in nus):
-        if n == 3:
-            return Verdict(
-                "mackey", n, "SimpleAndUniqueTrace", CIT_MACKEY_IFF_RANK3, details
-            )
-        return Verdict(
-            "mackey", n, "GuaranteedSimpleAndUniqueTrace", CIT_MACKEY, details
-        )
-    zw = center_z_pure_word(n)
-    corrected = {}
-    for (i, j), row in zip(_pairs(n), phi.rows):
-        aw = PureWord(n, (((i, j), 1),))
-        corrected[f"condition-iv(a({i},{j}))"] = (
-            Angle.combination((1, v) for v in row) + omega(aw, zw) - omega(zw, aw)
-        )
-    details.update({k: str(v) for k, v in corrected.items()})
-    if any(not v.is_torsion for v in corrected.values()):
-        details["kleppner"] = "holds"
-        if n == 3:
+        if family == "mackey" and n == iff_rank:
             details["note"] = (
                 "corrected row sums nontorsion while every nu_k is torsion; "
                 "on three strands the two conditions are equivalent, so the "
                 "supplied omega values are not consistent with any 2-cocycle"
             )
-        return Verdict("mackey", n, "Indeterminate", CIT_MACKEY, details)
+        return Verdict(family, n, "Indeterminate", cit_kleppner, details)
     details["kleppner"] = "fails"
-    citation = CIT_MACKEY_IFF_RANK3 if n == 3 else CIT_MACKEY
-    return Verdict("mackey", n, "NotFactor", citation, details)
-
-
-def evaluate_conditions(kind: str, data, omega: OmegaOracle | None = None) -> Verdict:
-    """Dispatch on the family: 'bn', 'pn', 'an' or 'mackey'."""
-    kind = kind.lower()
-    if kind == "bn":
-        return evaluate_braid_conditions(data)
-    if kind == "pn":
-        return evaluate_pure_conditions(data)
-    if kind == "an":
-        return evaluate_annular_conditions(data)
-    if kind == "mackey":
-        if omega is None:
-            raise MissingOmegaError("the mackey family needs omega values")
-        return evaluate_mackey_conditions(data, omega)
-    raise ValueError(f"unknown condition family {kind!r}")
+    return Verdict(family, n, "NotFactor", cit_iff if n == iff_rank else cit_kleppner, details)
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +753,20 @@ def random_braid_cocycle(
 
 
 # Entries a cocycle document's table may hold, (n-1)*n for a braid table and
-# n*n(n-1)/2 for a pure one; past it cocycle_from_json raises ParseError before
-# building the table, so that a one-line document with a large n starts no
-# quadratic or cubic work.  Tables up to n = 316 (braid) or n = 58 (pure) fit.
+# n*n(n-1)/2 for a pure one; past it cocycle_from_json and cocycle-build raise
+# ParseError before building the table, so that a one-line document or command
+# with a large n starts no quadratic or cubic work.  Tables up to n = 316
+# (braid) or n = 58 (pure) fit.
 MAX_COCYCLE_ENTRIES = 100_000
+
+
+def _check_entry_cap(n: int, pure: bool) -> None:
+    """Raise ParseError if an n-strand table would pass MAX_COCYCLE_ENTRIES;
+    fewer than 2 strands is left to the table's own RankError."""
+    n = max(n, 1)
+    size = n * n * (n - 1) // 2 if pure else (n - 1) * n
+    if size > MAX_COCYCLE_ENTRIES:
+        raise ParseError(f"cocycle table of {size} entries, past the cap of {MAX_COCYCLE_ENTRIES}")
 
 
 def cocycle_to_json(c: BraidOneCocycle | PureOneCocycle) -> dict:
@@ -844,9 +813,7 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
             pure_rows.setdefault(index, {})[k] = value
     if braid_rows and pure_rows:
         raise ParseError("document mixes braid and pure generator labels")
-    size = (n - 1) * n if braid_rows else n * n * (n - 1) // 2
-    if size > MAX_COCYCLE_ENTRIES:
-        raise ParseError(f"cocycle table of {size} entries, past the cap of {MAX_COCYCLE_ENTRIES}")
+    _check_entry_cap(n, pure=not braid_rows)
     zero = Angle.zero()  # shared, so that validation compares missing entries by identity
     if braid_rows:
         rows = []

@@ -18,6 +18,7 @@ from braidphase.braid import (
     embed,
     equal,
     garside_normal_form,
+    is_inner_for_pure,
     is_pure,
     linking_numbers,
     p3_image,
@@ -294,6 +295,13 @@ def test_rewrite_pure_examples():
     assert equal(aw.expand(), w)
     with pytest.raises(ValueError):
         rewrite_pure(parse_braid_word("s1", 3))
+
+
+def test_impure_words_raise_rank_error():
+    # RankError is a ValueError, so callers matching ValueError still hold
+    for fn in (is_inner_for_pure, rewrite_pure, linking_numbers):
+        with pytest.raises(RankError, match="braid word is not pure"):
+            fn(parse_braid_word("s1*s2", 3))
 
 
 def test_rewrite_pure_roundtrip():

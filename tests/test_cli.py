@@ -93,6 +93,8 @@ def test_exit_codes(tmp_path, capsys):
         ({**pure, "omega": [["a(1,4)", "z", "0"]]}, [*verdict, "mackey"], "bad omega label"),
         (pure, ["cocycle-classify", "DOC", "DOC"], "expects braid cocycle tables"),
         (braid, [*verdict, "pn"], "family pn expects a pure cocycle table"),
+        # the table's kind is checked before omega is read
+        ({**braid, "omega": 5}, [*verdict, "mackey"], "family mackey expects a pure cocycle"),
     ):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -323,8 +325,8 @@ def test_act_golden(capsys, n, braid, word, letters, digest):
 def test_rewrite_pure(capsys):
     code, out = run_cli(capsys, "rewrite-pure", "--n", "3", "s2*s1^2*s2^-1")
     assert code == 0 and out.strip() == "a(1,3)"
-    code, _ = run_cli(capsys, "rewrite-pure", "--n", "3", "s1")
-    assert code == 3
+    assert main(["rewrite-pure", "--n", "3", "s1"]) == 3
+    assert capsys.readouterr() == ("", "rank error: braid word is not pure\n")
 
 
 def test_cocycle_build_classify_verdict(tmp_path, capsys):
@@ -515,6 +517,9 @@ def test_verify_timings_flag(capsys):
         ["cocycle-build", "--n", "1", "--mu1", "0"],
         ["cocycle-build", "--n", "3", "--mu1", "0", "--diag", "0"],
         ["verify", "--max-n", "1"],
+        # (n-1)*n is past the entry cap, but too few strands come first
+        ["cocycle-build", "--n", "-400", "--mu1", "0"],
+        ["cocycle-build", "--n", "-400", "--mu1", "0", "--restrict-to-pure"],
     ],
 )
 def test_bad_sizes_exit_rank_error(capsys, argv):
@@ -580,6 +585,39 @@ def test_verdict_table_entry_cap(tmp_path, capsys, family, n, entries, code):
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and f"cap of {MAX_COCYCLE_ENTRIES}" in err
+
+
+@pytest.mark.parametrize(
+    "n, pure, code",
+    [
+        (316, False, 0),  # 99,540 entries
+        (317, False, 2),  # 100,172
+        (2000, False, 2),
+        (58, True, 0),  # 95,874
+        (59, True, 2),  # 100,949
+        (200, True, 2),
+    ],
+)
+def test_cocycle_build_entry_cap(tmp_path, capsys, n, pure, code):
+    # cocycle-build refuses what verdict would refuse, with the same message,
+    # before it builds the table
+    argv = ["cocycle-build", "--n", str(n), "--mu1", "th1"] + ["--restrict-to-pure"] * pure
+    start = time.perf_counter()
+    assert main(argv) == code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    path = tmp_path / "doc.json"
+    family = "pn" if pure else "bn"
+    if code:
+        assert elapsed < 0.5 and out == ""
+        label = "a(1,2)" if pure else "s1"
+        path.write_text(json.dumps({"n": n, "entries": [[label, "x1", "0"]]}))
+        assert main(["verdict", "--cocycle", str(path), "--family", family]) == 2
+        assert capsys.readouterr().err == err
+        assert err.startswith("parse error:") and f"cap of {MAX_COCYCLE_ENTRIES}" in err
+    else:
+        path.write_text(out)
+        assert main(["verdict", "--cocycle", str(path), "--family", family]) == 0
 
 
 # Tokens near the word grammar: letters of every alphabet and a stray one,

@@ -46,7 +46,7 @@ from braidphase.cocycle import (
     similar_braid_cocycles,
     validate_braid_cocycle,
 )
-from braidphase.errors import MissingOmegaError, RankError
+from braidphase.errors import MissingOmegaError, ParseError, RankError
 from braidphase.freegroup import Character, FreeWord
 from braidphase.phase import Angle, parse_angle
 
@@ -809,6 +809,22 @@ def test_mackey_verdicts():
     missing = TabulatedOmega(n, {})
     with pytest.raises(MissingOmegaError):
         evaluate_conditions("mackey", flat, missing)
+
+
+def test_verdict_table_kind_and_family_are_checked():
+    braid = build_braid_cocycle(3, mu1=TH1)
+    pure = restrict_to_pure(braid)
+    omega = TabulatedOmega(3, {})
+    for family, table in (("bn", pure), ("AN", pure), ("pn", braid), ("mackey", braid)):
+        kind = "braid" if family.lower() in ("bn", "an") else "pure"
+        with pytest.raises(ParseError, match=f"family {family.lower()} expects a {kind}"):
+            evaluate_conditions(family, table, omega)
+    for first, second in ((braid, pure), (pure, braid), (pure, pure)):
+        with pytest.raises(ParseError, match="classification expects braid cocycle tables"):
+            similar_braid_cocycles(first, second)
+    for table in (braid, pure):
+        with pytest.raises(ValueError, match="unknown condition family 'cn'"):
+            evaluate_conditions("cn", table)
 
 
 def test_verdict_json_shape():
