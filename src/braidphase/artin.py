@@ -23,9 +23,6 @@ and then to ``x2^-1*x1*x2``, and ``x2`` to ``x2^-1*x1^-1*x2*x1*x2``: both
 images are conjugation by ``c = x1*x2``, so ``apply_braid`` reads ``s1*s1``
 as the one run ``s1^2`` and wraps the word in ``c^-1 ... c`` in one step.
 
-:func:`artin_auto` is the automorphism with generator images
-``apply_braid(b, x_j)``.
-
 The action is faithful; ``oracle-agreement`` checks it against Garside
 forms.  Braid equality is decided by Dynnikov coordinates
 (:func:`braid.equal`), and so is which pure braids act by inner
@@ -44,7 +41,7 @@ from .freegroup import FreeWord, _reduce
 if TYPE_CHECKING:  # pragma: no cover
     from .braid import BraidWord
 
-__all__ = ["FreeAutomorphism", "apply_braid", "artin_auto"]
+__all__ = ["FreeAutomorphism", "apply_braid"]
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,3 @@ def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:
     for i, e in reversed(b.letters):
         runs = _substitute(runs, i, e)
     return FreeWord(word.rank, runs)
-
-
-def artin_auto(b: BraidWord) -> FreeAutomorphism:
-    """The automorphism of F_n induced by a braid word on n strands."""
-    n = b.strands
-    return FreeAutomorphism(
-        n, tuple(apply_braid(b, FreeWord.generator(n, j)) for j in range(1, n + 1))
-    )
-

@@ -164,10 +164,6 @@ class BraidWord(_Word):
     def generator(cls, strands: int, i: int, sign: int = 1) -> BraidWord:
         return cls(strands, ((i, sign),))
 
-    @property
-    def is_trivial_word(self) -> bool:
-        return not self.letters
-
 
 def permutation_of(b: BraidWord) -> Permutation:
     """Image of the braid under the surjection onto the symmetric group."""

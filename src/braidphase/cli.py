@@ -12,14 +12,15 @@ Subcommands:
 * ``verify``          run the seeded identity-verification suites
 
 Exit codes: 0 success, 1 verification failure, 2 parse error (including a
-braid cocycle table that fails validation, a table of the wrong kind for the
-family, a table of more than 100,000 entries (``cocycle.MAX_COCYCLE_ENTRIES``)
-read or built, and a file that cannot be read or written: missing, a
-directory, or not UTF-8), 3 rank or strand mismatch (including a non-positive
-strand count, an impure ``rewrite-pure`` word and ``verify --max-n`` below 2), 4
-missing external cocycle data, 5 out of memory (a short input such as
-``equal --group bn --n 1000000000 s1 s1`` can ask for more than the process
-may allocate).
+braid cocycle table that fails validation, a cocycle document whose ``n`` is
+not a JSON integer or that repeats an entry or an omega label pair, a table
+of the wrong kind for the family, a table of more than 100,000 entries
+(``cocycle.MAX_COCYCLE_ENTRIES``) read or built, and a file that cannot be
+read or written: missing, a directory, or not UTF-8), 3 rank or strand
+mismatch (including a non-positive strand count, an impure ``rewrite-pure``
+word and ``verify --max-n`` below 2), 4 missing external cocycle data, 5 out
+of memory (a short input such as ``equal --group bn --n 1000000000 s1 s1``
+can ask for more than the process may allocate).
 
 The checks ``verify`` runs live in :mod:`braidphase.verify`; this module
 only parses arguments and formats output.  The ``verify`` report is

@@ -33,6 +33,7 @@ verdicts ``SimpleAndUniqueTrace``, ``GuaranteedSimpleAndUniqueTrace``,
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -57,7 +58,6 @@ __all__ = [
     "PureOneCocycle",
     "SemidirectElement",
     "TwoCocycleSigmaPhi",
-    "MackeyTwoCocycle",
     "TabulatedOmega",
     "CocycleValidation",
     "SigmaRegularReport",
@@ -156,31 +156,19 @@ class CocycleValidation:
 
 
 def validate_braid_cocycle(c: BraidOneCocycle) -> CocycleValidation:
-    """Check the four relation families, which decide validity."""
-    n = c.n
-    rel: list[str] = []
-    for i in range(1, n - 1):
-        if c.entry(i + 1, i) != c.entry(i, i + 2):
-            rel.append(f"rel1[i={i}]")
-    for i in range(1, n - 1):
-        if c.entry(i, i) + c.entry(i, i + 1) != c.entry(i + 1, i + 1) + c.entry(i + 1, i + 2):
-            rel.append(f"rel2[i={i}]")
-    for i in range(1, n - 1):
-        for j in range(1, n + 1):
-            if j in (i, i + 1, i + 2):
-                continue
-            if c.entry(i, j) != c.entry(i + 1, j):
-                rel.append(f"rel3[i={i},j={j}]")
+    """Check the four relation families, which decide validity: each failing
+    instance of rel1-rel3 is named, and each row that breaks rel4."""
+    n, e = c.n, c.entry
+    rel = [f"rel1[i={i}]" for i in range(1, n - 1) if e(i + 1, i) != e(i, i + 2)]
+    rel += [f"rel2[i={i}]" for i in range(1, n - 1)
+            if e(i, i) + e(i, i + 1) != e(i + 1, i + 1) + e(i + 1, i + 2)]
+    rel += [f"rel3[i={i},j={j}]" for i in range(1, n - 1) for j in range(1, n + 1)
+            if j not in (i, i + 1, i + 2) and e(i, j) != e(i + 1, j)]
     if n >= 4:
-        for i in range(1, n - 1):
-            cols = [j for j in range(1, n + 1) if j not in (i, i + 1)]
-            off = [c.entry(i, j) for j in cols]
-            if off.count(off[0]) == len(off):  # a valid row: n comparisons, not n^2
-                continue
-            for a in range(len(cols)):
-                for b in range(a + 1, len(cols)):
-                    if off[a] != off[b]:
-                        rel.append(f"rel4[i={i},k={cols[a]},l={cols[b]}]")
+        for i, row in enumerate(c.table[:-1], start=1):
+            off = row[:i - 1] + row[i + 1:]
+            if off.count(off[0]) != len(off):  # one label per row, n comparisons
+                rel.append(f"rel4[i={i}]")
     return CocycleValidation(not rel, tuple(rel))
 
 
@@ -538,29 +526,6 @@ class TabulatedOmega:
         return self.values[key]
 
 
-@dataclass(frozen=True)
-class MackeyTwoCocycle:
-    """sigma(xa, yb) = phi(a, y) + omega(a, b) on the semidirect tower group.
-
-    ``phi`` is a pure 1-cocycle and ``omega`` an externally supplied
-    2-cocycle on the pure braid group, given as an evaluation callback such
-    as a :class:`TabulatedOmega` of finitely many pairs.
-    """
-
-    phi: PureOneCocycle
-    omega: OmegaOracle
-
-    @property
-    def n(self) -> int:
-        return self.phi.n
-
-    def evaluate(
-        self, g1: tuple[FreeWord, PureWord], g2: tuple[FreeWord, PureWord]
-    ) -> Angle:
-        (_, a), (y, b) = g1, g2
-        return extend_pure(self.phi, a, y) + self.omega(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -785,15 +750,19 @@ def cocycle_to_json(c: BraidOneCocycle | PureOneCocycle) -> dict:
 
 def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
     """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels.
+    ``n`` must be a JSON integer and no (generator, x_k) entry may repeat.
     A braid table must pass :func:`validate_braid_cocycle`, and no table may
     hold more than :data:`MAX_COCYCLE_ENTRIES` entries."""
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         raw_entries = list(doc["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("cocycle document needs 'n' and 'entries'") from exc
+    if type(n) is not int:  # not 3.9, "3" or true
+        raise ParseError(f"cocycle document's 'n' must be an integer, got {n!r}")
     braid_rows: dict[int, dict[int, Angle]] = {}
     pure_rows: dict[tuple[int, int], dict[int, Angle]] = {}
+    parse = functools.cache(parse_angle)  # once per text: equal entries share one Angle
     for item in raw_entries:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ParseError(f"bad entry {item!r}")
@@ -801,16 +770,19 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
         k, _ = _parse_token(str(item[1]).strip(), "x", power=False)
         if not 1 <= k <= n:
             raise ParseError(f"free generator x{k} out of range")
-        value = parse_angle(str(item[2]))
+        value = parse(str(item[2]))
         if isinstance(index, int):
             if not 1 <= index <= n - 1:
                 raise ParseError(f"braid generator s{index} out of range")
-            braid_rows.setdefault(index, {})[k] = value
+            label, row = f"s{index}", braid_rows.setdefault(index, {})
         else:
             i, j = index
             if not 1 <= i < j <= n:
                 raise ParseError(f"pure generator a({i},{j}) out of range")
-            pure_rows.setdefault(index, {})[k] = value
+            label, row = f"a({i},{j})", pure_rows.setdefault(index, {})
+        if k in row:
+            raise ParseError(f"repeated entry for {label}, x{k}")
+        row[k] = value
     if braid_rows and pure_rows:
         raise ParseError("document mixes braid and pure generator labels")
     _check_entry_cap(n, pure=not braid_rows)
@@ -834,7 +806,7 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
 
 
 def omega_from_json(doc: Mapping, n: int) -> TabulatedOmega:
-    """Read tabulated omega values [["a(i,j)"|"z", same, angle], ...]."""
+    """Read tabulated omega values [["a(i,j)"|"z", same, angle], ...], each pair once."""
     if not isinstance(doc, (list, tuple)):
         raise ParseError(f"omega must be a list of entries, got {doc!r}")
     values: dict[tuple[str, str], Angle] = {}
@@ -848,5 +820,8 @@ def omega_from_json(doc: Mapping, n: int) -> TabulatedOmega:
                 if not 1 <= i < j <= n:
                     raise ParseError(f"bad omega label {label!r}")
                 labels[pos] = f"a({i},{j})"
-        values[tuple(labels)] = parse_angle(str(item[2]))
+        key = tuple(labels)
+        if key in values:
+            raise ParseError(f"repeated omega entry for {key[0]}, {key[1]}")
+        values[key] = parse_angle(str(item[2]))
     return TabulatedOmega(n, values)

@@ -7,8 +7,7 @@ construction.  :class:`FreeWord`, ``braid.BraidWord`` and ``braid.PureWord``
 share ``*``, ``inverse``, ``**`` and the printer; one token grammar reads words
 and cocycle labels.  A reduced free word is canonical, so structural equality
 is equality in the group, in time linear in the word length.  Generators are
-1-based: ``x1, ..., xn``.  Binary operations check ranks; promotion to a
-bigger rank is always explicit.
+1-based: ``x1, ..., xn``.  Binary operations check ranks.
 
 Conjugacy orbits need no enumeration.  In ``F_n x| B_n`` the orbit of an
 element under conjugation by ``F_n`` is finite exactly when the element is
@@ -109,21 +108,12 @@ class FreeWord(_Word):
         self._check(g)
         return g.inverse() * self * g
 
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def abelianize(self) -> tuple[int, ...]:
         """Exponent sum of each generator."""
         out = [0] * self.rank
         for idx, exp in self.letters:
             out[idx - 1] += exp
         return tuple(out)
-
-    def promote(self, rank: int) -> FreeWord:
-        """The same word viewed in a free group of larger rank."""
-        if rank < self.rank:
-            raise RankError(f"cannot demote rank {self.rank} word to rank {rank}")
-        return FreeWord(rank, self.letters)
 
 
 # One token: a letter with its index (x<k>, s<i> or a(i,j)) and an optional

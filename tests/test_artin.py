@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from braidphase.artin import (
-    FreeAutomorphism,
-    _substitute,
-    apply_braid,
-    artin_auto,
-)
+from braidphase.artin import FreeAutomorphism, _substitute, apply_braid
 from braidphase.braid import (
     BraidWord,
     center_z,
@@ -19,6 +14,14 @@ from braidphase.braid import (
 )
 from braidphase.errors import RankError
 from braidphase.freegroup import FreeWord, parse_free_word
+
+
+def automorphism(b: BraidWord) -> FreeAutomorphism:
+    """The whole automorphism of b, recorded by the images apply_braid(b, x_j)."""
+    n = b.strands
+    return FreeAutomorphism(
+        n, tuple(apply_braid(b, FreeWord.generator(n, j)) for j in range(1, n + 1))
+    )
 
 
 def full_word(n: int) -> FreeWord:
@@ -36,7 +39,7 @@ def generator_images(n: int, i: int, sign: int) -> list[FreeWord]:
 
 
 def substitute(b: BraidWord, word: FreeWord) -> FreeWord:
-    """Reference for artin_auto(b)(word): substitute the generator formulas
+    """Reference for apply_braid(b, word): substitute the generator formulas
     into the one word, for the letters of b from right to left."""
     n = b.strands
     for i, sign in reversed(b.units):
@@ -48,19 +51,19 @@ def test_generator_images():
     for n in range(2, 7):
         for i in range(1, n):
             for sign in (1, -1):
-                auto = artin_auto(BraidWord(n, ((i, sign),)))
+                auto = automorphism(BraidWord(n, ((i, sign),)))
                 assert list(auto.images) == generator_images(n, i, sign)
-                back = artin_auto(BraidWord(n, ((i, -sign),)))
+                back = automorphism(BraidWord(n, ((i, -sign),)))
                 for j in range(1, n + 1):
                     x = FreeWord.generator(n, j)
                     assert back(auto(x)) == x
 
 
 def test_apply():
-    ident = artin_auto(BraidWord.identity(3))
+    ident = automorphism(BraidWord.identity(3))
     w = parse_free_word("x1*x3^-2", 3)
     assert ident(w) == w
-    a = artin_auto(parse_braid_word("s1", 2))
+    a = automorphism(parse_braid_word("s1", 2))
     assert a(parse_free_word("x1*x2", 2)) == parse_free_word("x1*x2", 2)
     with pytest.raises(RankError):
         a(parse_free_word("x1", 3))
@@ -71,12 +74,12 @@ def test_apply():
 def test_identity_and_equal():
     for n in range(1, 5):
         gens = tuple(FreeWord.generator(n, j) for j in range(1, n + 1))
-        assert artin_auto(BraidWord.identity(n)) == FreeAutomorphism(n, gens)
-    lhs = artin_auto(parse_braid_word("s1*s2*s1", 3))
-    rhs = artin_auto(parse_braid_word("s2*s1*s2", 3))
+        assert automorphism(BraidWord.identity(n)) == FreeAutomorphism(n, gens)
+    lhs = automorphism(parse_braid_word("s1*s2*s1", 3))
+    rhs = automorphism(parse_braid_word("s2*s1*s2", 3))
     assert lhs == rhs
-    assert artin_auto(parse_braid_word("s1", 3)) != artin_auto(parse_braid_word("s2", 3))
-    assert artin_auto(BraidWord.identity(2)) != artin_auto(BraidWord.identity(3))
+    assert automorphism(parse_braid_word("s1", 3)) != automorphism(parse_braid_word("s2", 3))
+    assert automorphism(BraidWord.identity(2)) != automorphism(BraidWord.identity(3))
 
 
 def test_artin_auto_is_homomorphism():
@@ -86,7 +89,7 @@ def test_artin_auto_is_homomorphism():
         a = random_braid_word(n, rng.randint(0, 8), rng)
         b = random_braid_word(n, rng.randint(0, 8), rng)
         w = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
-        auto_a, auto_b, auto_ab = artin_auto(a), artin_auto(b), artin_auto(a * b)
+        auto_a, auto_b, auto_ab = automorphism(a), automorphism(b), automorphism(a * b)
         assert auto_ab(w) == auto_a(auto_b(w)) == substitute(a * b, w) == apply_braid(a * b, w)
         for j in range(1, n + 1):
             assert auto_b.images[j - 1] == substitute(b, FreeWord.generator(n, j))
@@ -97,12 +100,12 @@ def test_relation_kernel():
         for i in range(1, n - 1):
             u = BraidWord(n, ((i, 1), (i + 1, 1), (i, 1)))
             v = BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1)))
-            assert artin_auto(u) == artin_auto(v)
+            assert automorphism(u) == automorphism(v)
         for i in range(1, n):
             for j in range(i + 2, n):
                 u = BraidWord(n, ((i, 1), (j, 1)))
                 v = BraidWord(n, ((j, 1), (i, 1)))
-                assert artin_auto(u) == artin_auto(v)
+                assert automorphism(u) == automorphism(v)
 
 
 def test_preserves_product_of_generators():
@@ -110,8 +113,8 @@ def test_preserves_product_of_generators():
     for _ in range(200):
         n = rng.randint(2, 5)
         b = random_braid_word(n, rng.randint(0, 15), rng)
-        assert artin_auto(b)(full_word(n)) == apply_braid(b, full_word(n)) == full_word(n)
-    for _ in range(20):  # far past the reach of artin_auto
+        assert automorphism(b)(full_word(n)) == apply_braid(b, full_word(n)) == full_word(n)
+    for _ in range(20):  # far past the reach of automorphism
         n = rng.randint(2, 12)
         b = random_braid_word(n, rng.randint(0, 2000), rng)
         assert apply_braid(b, full_word(n)) == full_word(n)
@@ -119,7 +122,7 @@ def test_preserves_product_of_generators():
 
 def test_center_acts_by_conjugation():
     for n in range(2, 6):
-        auto = artin_auto(center_z(n))
+        auto = automorphism(center_z(n))
         for i in range(1, n + 1):
             expected = FreeWord.generator(n, i).conjugate_by(full_word(n))
             assert auto.images[i - 1] == expected
@@ -147,7 +150,7 @@ def test_is_inner_witness_equation_rank2():
         b = random_pure_braid_word(2, 12, rng)
         witness = is_inner_for_pure(b)
         assert witness is not None, f"no witness found for {b}"
-        auto = artin_auto(b)
+        auto = automorphism(b)
         for i in (1, 2):
             assert auto.images[i - 1] == FreeWord.generator(2, i).conjugate_by(witness)
 
@@ -160,7 +163,7 @@ def test_is_inner_witness_central_powers():
             for b in (center_z(n) ** k, c * center_z(n) ** k * c.inverse()):
                 witness = is_inner_for_pure(b)
                 assert witness == full_word(n) ** k
-                auto = artin_auto(b)
+                auto = automorphism(b)
                 for i in range(1, n + 1):
                     assert auto.images[i - 1] == FreeWord.generator(n, i).conjugate_by(witness)
 

@@ -410,7 +410,7 @@ def test_linking_numbers_are_rewrite_exponent_sums():
 
 def test_embed():
     assert embed(parse_braid_word("s1", 2), 3) == parse_braid_word("s1", 3)
-    assert embed(BraidWord.identity(2), 4).is_trivial_word
+    assert embed(BraidWord.identity(2), 4) == BraidWord.identity(4)
     with pytest.raises(RankError):
         embed(parse_braid_word("s1*s2", 3), 2)
     z3 = embed(center_z(3), 4)

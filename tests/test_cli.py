@@ -91,6 +91,17 @@ def test_exit_codes(tmp_path, capsys):
         ({"n": 3, "entries": [["s1", "x1", "0"], ["a(1,2)", "x1", "0"]]}, [*verdict, "pn"],
          "mixes braid and pure"),
         ({**pure, "omega": [["a(1,4)", "z", "0"]]}, [*verdict, "mackey"], "bad omega label"),
+        # ambiguous documents: a strand count that is not a JSON integer, an
+        # entry or an omega label pair given twice (in any spelling)
+        ({**braid, "n": 2.9}, [*verdict, "bn"], "'n' must be an integer"),
+        ({**braid, "n": "2"}, [*verdict, "bn"], "'n' must be an integer"),
+        ({**braid, "n": True}, [*verdict, "bn"], "'n' must be an integer"),
+        ({"n": 3, "entries": [["s1", "x1", "0"], [" s1 ", "x1", "th1"]]}, [*verdict, "bn"],
+         "repeated entry for s1, x1"),
+        ({"n": 3, "entries": [["a(1,2)", "x1", "0"], ["a( 1 , 2 )", "x1", "0"]]},
+         [*verdict, "pn"], "repeated entry for a(1,2), x1"),
+        ({**pure, "omega": [["a(1,2)", "z", "0"], ["a( 1 , 2 )", "z", "1/2"]]},
+         [*verdict, "mackey"], "repeated omega entry for a(1,2), z"),
         (pure, ["cocycle-classify", "DOC", "DOC"], "expects braid cocycle tables"),
         (braid, [*verdict, "pn"], "family pn expects a pure cocycle table"),
         # the table's kind is checked before omega is read
@@ -533,7 +544,8 @@ def test_cocycle_classify_rejects_invalid_table(tmp_path, capsys):
     valid = tmp_path / "valid.json"
     valid.write_text(json.dumps({"n": 3, "entries": entries}))
     invalid = tmp_path / "invalid.json"
-    invalid.write_text(json.dumps({"n": 3, "entries": entries + [["s2", "x1", "1/2"]]}))
+    broken = [[s, x, "1/2" if (s, x) == ("s2", "x1") else v] for s, x, v in entries]
+    invalid.write_text(json.dumps({"n": 3, "entries": broken}))
     assert main(["cocycle-classify", str(valid), str(invalid)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "rel1[i=1]" in err

@@ -49,9 +49,6 @@ def test_rank_checks():
         FreeWord.generator(2, 1) * FreeWord.generator(3, 1)
     with pytest.raises(RankError):
         FreeWord(2, ((3, 1),))
-    assert FreeWord.generator(2, 1).promote(4).rank == 4
-    with pytest.raises(RankError):
-        FreeWord.generator(3, 3).promote(2)
 
 
 @settings(max_examples=100, derandomize=True)

@@ -1,6 +1,7 @@
 """The package's structure: layers import downward, names are declared once."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,3 +83,15 @@ def test_package_import_leaves_verify_and_cli_unloaded():
     loaded = json.loads(out.stdout)
     assert "braidphase.phase" in loaded
     assert "braidphase.verify" not in loaded and "braidphase.cli" not in loaded
+
+
+def test_tracer_patches_only_methods_the_classes_define():
+    # The benchmark tracer wraps these methods by name, read from the class
+    # dicts; a method trimmed from the library must leave its list first.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.METHODS
+    for layer, cls, attr in tracer.METHODS:
+        assert attr in vars(getattr(getattr(braidphase, layer), cls)), (layer, cls, attr)
