@@ -15,9 +15,9 @@ are exactly those satisfying four relation families:
 These families are the decision (:func:`validate_braid_cocycle`, O(n^2)
 comparisons); the ``cocycle-extension`` check of :mod:`braidphase.verify`
 cross-checks them against extension on both sides of each defining relation.
-:func:`extend` relies on rel4 for speed: per letter it counts each row's
-letters and band columns, and beyond those only the off-band entries that
-break rel4.
+:func:`extend` keeps one count per row in its letter loop, that of phi(s_i,
+x_{i+1}); the rest follows from the final exponent-sum vector and, as rel1,
+rel3 and rel4 make every off-band entry mu2, from one total.
 
 Up to coboundary a table is classified by ``mu1 = phi(s_i,x_i)+phi(s_i,x_{i+1})``
 and, from three strands on, the common off-band value ``mu2``.  On the pure
@@ -176,43 +176,43 @@ def extend(c: BraidOneCocycle, a: BraidWord, x: FreeWord) -> Angle:
     """Evaluate the cocycle on an arbitrary braid word and free word.
 
     Uses phi(l w, x) = phi(l, w.x) + phi(w, x) with phi(s^-1, y) =
-    -phi(s, s^-1.y).  Since phi(a, -) is a character it only sees the
-    exponent-sum vector v of its argument, and the action permutes v, so
-    each letter s_i^{+-1} adds +-v into row i of a count matrix N and the
-    value is sum N_ij phi(s_i, x_j).  The sum of v is invariant, so row i
-    keeps only its signed letter count k_i and the band counts N_ii and
-    N_i,i+1: its off-band columns count k_i sum(v) - N_ii - N_i,i+1 in all,
-    weighted by its first off-band entry.  Off-band entries that differ
-    from that one (none in a valid table, by rel4) keep their own counts.
-    O(L (1 + d) + n^2) integer steps for d such columns per row, and a
-    single Angle construction.
+    -phi(s, s^-1.y).  phi(a, -) is a character and the action permutes the
+    exponent-sum vector v of x, so each letter s_i^{+-1} adds +-v into row i
+    of a count matrix N and the value is sum N_ij phi(s_i, x_j).  The letter
+    swaps v_i and v_{i+1}: sum(v) stays, and v_{i+1} + ... + v_n changes by
+    what the letter adds to N_ii - N_i,i+1.  So one pass keeps only N_i,i+1,
+    N_ii follows from the final v, and all off-band counts total e sum(v) -
+    sum(N_ii + N_i,i+1) for the word's exponent sum e, weighted by mu2 =
+    phi(s_1, x_3).  Off-band entries unlike mu2 (none in a valid table) take
+    their own counts off that total in a second pass, over the runs.  O(L +
+    n^2) integer steps, plus O(L (1 + d)) for d such entries in a row.
     """
     if a.strands != c.n or x.rank != c.n:
         raise RankError("cocycle, braid word and free word must share one rank")
-    v = list(x.abelianize())
-    refs, slots, counts = [], [], []  # counts: k_i, N_ii, N_i,i+1, then deviations
-    for i, row in enumerate(c.table):
-        off = row[:i] + row[i + 2:]
-        ref = off[0] if off else Angle.zero()
-        # count() compares in C, by identity first; valid tables repeat one mu2
-        dev = [] if off.count(ref) == len(off) else [
-            j for j in range(c.n) if j not in (i, i + 1) and row[j] != ref]
-        refs.append(ref)
-        slots.append(tuple(enumerate(dev, 3)))
-        counts.append([0] * (3 + len(dev)))
+    n, table, start = c.n, c.table, (0, *x.abelianize())  # start, v, band, dev: 1-based
+    v, band = list(start), [0] * n  # band[i] = N_i,i+1
     for i, sign in reversed(a.units):
-        p, q = v[i - 1], v[i]
-        v[i - 1], v[i] = q, p
-        acc = counts[i - 1]
-        acc[0] += sign
-        acc[1] += p if sign == 1 else -q
-        acc[2] += q if sign == 1 else -p
-        for slot, j in slots[i - 1]:
-            acc[slot] += sign * v[j]
-    total, terms = sum(v), []
-    for i, (row, ref, (k, s, t, *own), cols) in enumerate(zip(c.table, refs, counts, slots)):
-        terms += [(s, row[i]), (t, row[i + 1]), (k * total - s - t - sum(own), ref)]
-        terms += [(m, row[j]) for m, (_, j) in zip(own, cols)]
+        p, q = v[i], v[i + 1]
+        v[i], v[i + 1] = q, p
+        band[i] += q if sign == 1 else -p
+    mu2, off = table[0][2] if n > 2 else None, sum(e for _, e in a.letters) * sum(v)
+    terms, dev, drift = [], {}, 0
+    for i, row in zip(range(n - 1, 0, -1), reversed(table)):
+        drift += v[i + 1] - start[i + 1]  # the change of v_{i+1} + ... + v_n
+        terms += ((band[i] + drift, row[i - 1]), (band[i], row[i]))
+        off -= 2 * band[i] + drift
+        if (rest := row[:i - 1] + row[i + 1:]).count(mu2) != len(rest):  # in C, identity first
+            dev[i] = [[j, 0] for j in range(1, n + 1) if j not in (i, i + 1) and row[j - 1] != mu2]
+    if dev:  # back from the final v, left to right: a run s_i^e moves no off-band v_j of row i
+        for i, e in a.letters:
+            if i in dev:
+                for count in dev[i]:
+                    count[1] += e * v[count[0]]
+            if e % 2:
+                v[i], v[i + 1] = v[i + 1], v[i]
+        own = [(m, table[i - 1][j - 1]) for i, counts in dev.items() for j, m in counts]
+        terms, off = terms + own, off - sum(m for m, _ in own)
+    terms.append((off, mu2))  # off is 0 on two strands, where mu2 is None
     return Angle.combination((k, angle) for k, angle in terms if k)
 
 

@@ -255,6 +255,23 @@ def test_bench_runner_times_both_trees_in_one_child(monkeypatch):
     assert marks == {"before": "memory", "after": "memory"}
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_bench_cocycle_cases_run_on_both_trees():
+    # scripts/bench_cocycle.py's case builder, in the runner's child, on both of
+    # its TABLES ("valid", "one off-band entry bumped"): each gives a time for
+    # each tree and paired ratios, and the child fails if the trees' values differ
+    scripts = pathlib.Path(__file__).parent.parent / "scripts"
+    bench = runpy.run_path(str(scripts / "bench_equal.py"))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    trees = {"before": src, "after": src}
+    for workload in range(2):
+        marks, job = {}, {"workload": workload, "n": 4, "L": 40, "seed": 0}
+        result = bench["run_seed"](str(scripts / "bench_cocycle.py"), job, trees, marks)
+        assert marks == {} and set(result["median"]) == set(trees)
+        assert all(seconds > 0 for seconds in result["median"].values())
+        assert len(result["ratios"]) == bench["PAIRS"] and min(result["ratios"]) > 0
+
+
 def test_bench_runner_counts_long_warm_up_calls_as_the_first_pair():
     path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"
     bench = runpy.run_path(str(path))
