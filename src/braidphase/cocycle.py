@@ -13,8 +13,12 @@ are exactly those satisfying four relation families:
   rel4:  (four or more strands) each row is constant off its own band
 
 These families are the decision (:func:`validate_braid_cocycle`, O(n^2)
-comparisons); the ``cocycle-extension`` check of :mod:`braidphase.verify`
-cross-checks them against extension on both sides of each defining relation.
+comparisons).  The ``cocycle-extension`` check of :mod:`braidphase.verify`
+decides them against extension on a table with a symbol per entry: both
+sides of each defining relation at each x_k give an integer form, and these
+forms have rank (n-1)n - p with unit pivots, for the p = n+1 parameters
+(mu1, mu2, diag) of :func:`build_braid_cocycle` (p = 2 on two strands), so
+that function builds every valid table.
 :func:`extend` keeps one count per row in its letter loop, that of phi(s_i,
 x_{i+1}); the rest follows from the final exponent-sum vector and, as rel1,
 rel3 and rel4 make every off-band entry mu2, from one total.
@@ -62,7 +66,6 @@ __all__ = [
     "CocycleValidation",
     "SigmaRegularReport",
     "Verdict",
-    "CohomologyParameters",
     "build_braid_cocycle",
     "validate_braid_cocycle",
     "extend",
@@ -77,7 +80,6 @@ __all__ = [
     "sigma_regular",
     "center_element",
     "evaluate_conditions",
-    "cohomology_parameters",
     "random_braid_cocycle",
     "cocycle_to_json",
     "cocycle_from_json",
@@ -634,63 +636,6 @@ def evaluate_conditions(
         return Verdict(family, n, "Indeterminate", cit_kleppner, details)
     details["kleppner"] = "fails"
     return Verdict(family, n, "NotFactor", cit_iff if n == iff_rank else cit_kleppner, details)
-
-
-# ---------------------------------------------------------------------------
-# Cohomology parameter counts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CohomologyParameters:
-    """Parameter count of a cohomology group: a torus exponent plus possible
-    order-two summands.  Informational; nothing is computed from cocycles."""
-
-    group: str
-    n: int
-    torus_exponent: int
-    order_two_summands: int
-    parameters: tuple[str, ...]
-
-
-def cohomology_parameters(group: str, n: int) -> CohomologyParameters:
-    """Parameter counts for the supported families.
-
-    ``Bn``: classes of braid 1-cocycles, one circle for two strands (mu1),
-    two from three strands on (mu1, mu2).  ``Pn``: pure 1-cocycles are free,
-    n * n(n-1)/2 circles.  ``Pn_H2``: scalar 2-cocycles on the pure braid
-    group, n(n-1)(n-2)(3n-1)/24 circles.  ``An``: scalar 2-cocycles on the
-    annular braid group, one circle at three strands, two at four, and two
-    plus an order-two summand from five on.
-    """
-    key = group.lower()
-    if key == "bn":
-        if n < 2:
-            raise ValueError("need at least 2 strands")
-        if n == 2:
-            return CohomologyParameters("Bn", n, 1, 0, ("mu1",))
-        return CohomologyParameters("Bn", n, 2, 0, ("mu1", "mu2"))
-    if key == "pn":
-        if n < 1:
-            raise ValueError("need at least 1 strand")
-        exponent = n * n * (n - 1) // 2
-        return CohomologyParameters(
-            "Pn", n, exponent, 0, ("phi(a(i,j), x_k) free on all entries",)
-        )
-    if key == "pn_h2":
-        if n < 1:
-            raise ValueError("need at least 1 strand")
-        product = n * (n - 1) * (n - 2) * (3 * n - 1)
-        # n(n-1)(n-2)(3n-1) is divisible by 24 for every integer n
-        return CohomologyParameters("Pn_H2", n, product // 24, 0, ())
-    if key == "an":
-        if n < 3:
-            raise ValueError("need at least 3 strands")
-        if n == 3:
-            return CohomologyParameters("An", n, 1, 0, ("mu1",))
-        if n == 4:
-            return CohomologyParameters("An", n, 2, 0, ("mu1", "mu2"))
-        return CohomologyParameters("An", n, 2, 1, ("mu1", "mu2", "spin sign"))
-    raise ValueError(f"unknown group family {group!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .artin import apply_braid
 from .braid import (
@@ -291,32 +291,69 @@ def classification(rng: random.Random, *, n: int, samples: int) -> str | None:
     return None
 
 
-def cocycle_extension(rng: random.Random, *, n: int, samples: int) -> str | None:
-    """The relation families against extension on both sides of every
-    defining relation at every x_k.  Samples cycle through valid tables,
-    tables with one entry bumped, tables with an off-band entry bumped
-    together with every entry rel1 and rel3 tie to it (so only rel4 can
-    tell), and arbitrary tables."""
-    relations = defining_relations(n)
-    xs = [FreeWord.generator(n, k) for k in range(1, n + 1)]
-    for t in range(samples):
-        rows = [list(row) for row in random_braid_cocycle(n, rng).table]
-        if rng.random() < 0.5:
-            bump = Angle.rational(rng.randint(1, 7), 8)
-        else:
-            bump = Angle.symbol("bump", rng.choice((1, -1)))
-        if t % 4 == 1:
-            rows[rng.randrange(n - 1)][rng.randrange(n)] += bump
-        elif t % 4 == 2 and n >= 3:
-            k = rng.randint(3, n)  # column k above the band, column k-2 below it
-            for i in range(1, n):
-                rows[i - 1][k - 1 if i <= k - 2 else k - 3] += bump
-        elif t % 4 == 3:
-            rows = [[random_angle(rng) for _ in range(n)] for _ in range(n - 1)]
+def _unimodular_rank(rows: list[list[int]]) -> int | None:
+    """Rank of integer rows by elimination with +-1 pivots only, or None when
+    a step finds none.  Unit pivots make every Smith divisor 1, so the common
+    zeros of the rows in (R/Z)^m are a connected torus of dimension m - rank."""
+    rows, rank = [r for r in rows if any(r)], 0
+    while rows:
+        pivot = next(((r, j) for r in rows for j, a in enumerate(r) if a in (1, -1)), None)
+        if pivot is None:
+            return None
+        p, j = pivot
+        rows = [[a - r[j] * p[j] * b for a, b in zip(r, p)] for r in rows if r is not p]
+        rows, rank = [r for r in rows if any(r)], rank + 1
+    return rank
+
+
+def _symbolic_rank(angles: Sequence[Angle]) -> int | None:
+    """_unimodular_rank of the angles as integer forms in their symbols."""
+    names = sorted({name for a in angles for name, _ in a.syms})
+    return _unimodular_rank([[dict(a.syms).get(m, 0) for m in names] for a in angles])
+
+
+def _generic_cocycle(n: int) -> BraidOneCocycle:
+    """build_braid_cocycle with a symbol per parameter: m1, m2, d1..d_{n-1}."""
+    diag = [Angle.symbol(f"d{i}") for i in range(1, n)]
+    return build_braid_cocycle(n, Angle.symbol("m1"), Angle.symbol("m2"), diag)
+
+
+def cocycle_extension(rng: random.Random | None = None, *, n: int) -> str | None:
+    """Extension on both sides of every defining relation at every x_k, on a
+    table with a symbol t{i}_{j} per entry, gives integer forms (extend is
+    linear in the table).  They must have unit pivots and rank (n-1)n - p for
+    the p = n+1 build parameters (2 on two strands), so the tables extension
+    accepts are a connected torus of dimension p, which the generic build
+    table, accepted by both sides, fills.  The relation families must agree
+    with extension on that table with one entry bumped, and with the bumps
+    only rel2 or only rel4 can tell."""
+    pairs = [(u, v, FreeWord.generator(n, k)) for _, _, u, v in defining_relations(n)
+             for k in range(1, n + 1)]
+
+    def extension_accepts(c: BraidOneCocycle) -> bool:
+        return all(extend(c, u, x) == extend(c, v, x) for u, v, x in pairs)
+
+    t = BraidOneCocycle(n, tuple(
+        tuple(Angle.symbol(f"t{i}_{j}") for j in range(1, n + 1)) for i in range(1, n)
+    ))
+    rank = _symbolic_rank([extend(t, u, x) - extend(t, v, x) for u, v, x in pairs])
+    generic = _generic_cocycle(n)
+    p = _symbolic_rank(sum(generic.table, ()))
+    if None in (rank, p) or rank + p != (n - 1) * n:
+        return f"relation forms of rank {rank}, build table of rank {p} (None: no unit pivot)"
+    if not (extension_accepts(generic) and validate_braid_cocycle(generic).ok):
+        return "the generic build table is not a cocycle"
+    bumps = [[(i, j)] for i in range(1, n) for j in range(1, n + 1)]
+    # phi(s_i, x_i) raised from row k on; column k raised above the band and
+    # column k-2 below it
+    bumps += [[(i, i) for i in range(k, n)] for k in range(2, n - 1)]
+    bumps += [[(i, k if i <= k - 2 else k - 2) for i in range(1, n)] for k in range(3, n + 1)]
+    for cells in bumps:
+        rows = [list(row) for row in generic.table]
+        for i, j in cells:
+            rows[i - 1][j - 1] += Angle.symbol("bump")
         c = BraidOneCocycle(n, tuple(tuple(row) for row in rows))
-        agrees = all(
-            extend(c, u, x) == extend(c, v, x) for _, _, u, v in relations for x in xs
-        )
+        agrees = extension_accepts(c)
         if validate_braid_cocycle(c).ok != agrees:
             table = [[str(value) for value in row] for row in c.table]
             side = "accepts" if agrees else "rejects"
@@ -324,18 +361,16 @@ def cocycle_extension(rng: random.Random, *, n: int, samples: int) -> str | None
     return None
 
 
-def z_relation(rng: random.Random, *, n: int, samples: int) -> str | None:
-    full = _full_word(n)
-    z = center_z(n)
-    for _ in range(samples):
-        c = random_braid_cocycle(n, rng)
-        mu = mu_phi(c)
-        for i in range(1, n + 1):
-            if extend(c, z, FreeWord.generator(n, i)) != mu:
-                return f"phi(z, x{i}) != mu"
-        for j in range(1, n):
-            if extend(c, BraidWord.generator(n, j), full).scale(n - 1) != mu:
-                return f"(n-1) phi(s{j}, x1..xn) != mu"
+def z_relation(rng: random.Random | None = None, *, n: int) -> str | None:
+    """On the generic build table, which covers every valid table."""
+    c, full, z = _generic_cocycle(n), _full_word(n), center_z(n)
+    mu = mu_phi(c)
+    for i in range(1, n + 1):
+        if extend(c, z, FreeWord.generator(n, i)) != mu:
+            return f"phi(z, x{i}) != mu"
+    for j in range(1, n):
+        if extend(c, BraidWord.generator(n, j), full).scale(n - 1) != mu:
+            return f"(n-1) phi(s{j}, x1..xn) != mu"
     return None
 
 
@@ -436,15 +471,25 @@ def pure_sigma_linking(rng: random.Random, *, n: int) -> str | None:
     return None
 
 
-def coboundary(rng: random.Random, *, n: int) -> str | None:
-    zero = build_braid_cocycle(n, Angle.zero(), Angle.zero())
-    for _ in range(15):
-        h = coboundary_of_character(Character(n, tuple(random_angle(rng) for _ in range(n))))
-        mu1, mu2 = mu_params(h)
-        if mu1 or (mu2 is not None and mu2):
-            return "coboundary has nonzero parameters"
-        if similar_braid_cocycles(h, zero) is None:
-            return "coboundary not recognized as similar to zero"
+def coboundary(rng: random.Random | None = None, *, n: int) -> str | None:
+    """The coboundary of the character with a symbol f1..fn per generator,
+    which stands for every character: its parameters vanish, it is similar to
+    zero, and its entries have rank n-1.  As the n+1 build parameters reach
+    every valid table (cocycle-extension), the coboundaries are exactly the
+    tables with vanishing (mu1, mu2), and the classes are a torus of
+    dimension 2, or 1 on two strands: one per parameter."""
+    f = Character(n, tuple(Angle.symbol(f"f{j}") for j in range(1, n + 1)))
+    h = coboundary_of_character(f)
+    mu1, mu2 = mu_params(h)
+    if mu1 or (mu2 is not None and mu2):
+        return "coboundary has nonzero parameters"
+    if similar_braid_cocycles(h, build_braid_cocycle(n, Angle.zero())) is None:
+        return "coboundary not recognized as similar to zero"
+    if (rank := _symbolic_rank(sum(h.table, ()))) != n - 1:
+        return f"coboundary entries have rank {rank}, expected {n - 1}"
+    p = _symbolic_rank(sum(_generic_cocycle(n).table, ()))
+    if p is None or p - rank != sum(m is not None for m in (mu1, mu2)):
+        return f"the classes form a torus of dimension {p} - {rank}, unlike (mu1, mu2)"
     return None
 
 
@@ -533,10 +578,10 @@ REGISTRY = (
      classification, _sizes(2, 5, samples=25)),
     ("cocycle-extension.n{n}", "cocycle",
      "the relation families hold exactly when extension agrees on every defining relation",
-     cocycle_extension, _sizes(2, 8, samples=20)),
+     cocycle_extension, _sizes(2, 8)),
     ("z-relation.n{n}", "cocycle",
      "phi(z, x_i) = mu = (n-1) phi(s_j, x1...xn)",
-     z_relation, _sizes(3, 5, samples=15)),
+     z_relation, _sizes(3, 5)),
     ("kleppner-probe.n{n}", "cocycle",
      "central powers are sigma-regular exactly when the total phase is torsion",
      kleppner_probe, _sizes(3, 4)),

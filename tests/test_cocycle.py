@@ -32,7 +32,6 @@ from braidphase.cocycle import (
     coboundary_of_character,
     cocycle_from_json,
     cocycle_to_json,
-    cohomology_parameters,
     evaluate_conditions,
     extend,
     extend_pure,
@@ -918,29 +917,6 @@ def test_verdict_golden():
     assert {"family": "mackey", "error": "the mackey family needs omega values"} in docs
     text = json.dumps(docs)
     assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_GRID_SHA256
-
-
-# ---------------------------------------------------------------------------
-# cohomology parameter counts
-# ---------------------------------------------------------------------------
-
-def test_cohomology_parameters():
-    assert cohomology_parameters("Bn", 2).torus_exponent == 1
-    assert cohomology_parameters("Bn", 2).parameters == ("mu1",)
-    assert cohomology_parameters("Bn", 5).torus_exponent == 2
-    assert cohomology_parameters("Pn", 3).torus_exponent == 9
-    assert cohomology_parameters("Pn", 2).torus_exponent == 2
-    # evaluate the closed formula independently for Pn_H2
-    for n in range(1, 9):
-        expected = n * (n - 1) * (n - 2) * (3 * n - 1) // 24
-        assert cohomology_parameters("Pn_H2", n).torus_exponent == expected
-    assert cohomology_parameters("Pn_H2", 4).torus_exponent == 11
-    assert cohomology_parameters("An", 3).torus_exponent == 1
-    assert cohomology_parameters("An", 4).torus_exponent == 2
-    a7 = cohomology_parameters("An", 7)
-    assert a7.torus_exponent == 2 and a7.order_two_summands == 1
-    with pytest.raises(ValueError):
-        cohomology_parameters("Xx", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 from braidphase import artin, verify
 from braidphase.cli import main
+from braidphase.cocycle import CocycleValidation
 
 # Every check ``braidphase verify --max-n 6`` runs, with its suite.
 REGISTRY_AT_6 = [
@@ -109,3 +110,45 @@ def test_action_checks_run_the_action_callers_use(monkeypatch):
     monkeypatch.setattr(artin, "_substitute", swap)
     assert verify.center_action(n=3) is not None
     assert verify.oracle_agreement(random.Random(0), max_n=4) is not None
+
+
+def _drop_label(monkeypatch, label):
+    """validate_braid_cocycle as verify sees it, blind to one violation label."""
+    full = verify.validate_braid_cocycle
+
+    def validate(c):
+        kept = tuple(v for v in full(c).relation_violations if v != label)
+        return CocycleValidation(not kept, kept)
+
+    monkeypatch.setattr(verify, "validate_braid_cocycle", validate)
+
+
+def test_cocycle_extension_sees_each_dropped_relation(monkeypatch):
+    # each dropped label lets a table through that extension rejects; twenty
+    # sampled tables per n saw the first only at n=6 and the second at n<=4
+    for n in range(4, 9):
+        _drop_label(monkeypatch, f"rel3[i={n - 2},j=1]")
+        assert verify.cocycle_extension(n=n) is not None, n
+    for n in range(3, 9):
+        _drop_label(monkeypatch, "rel2[i=1]")
+        assert verify.cocycle_extension(n=n) is not None, n
+    # a middle rel2 is seen only on the table raised from row 3 on
+    for n in range(5, 9):
+        _drop_label(monkeypatch, "rel2[i=2]")
+        assert verify.cocycle_extension(n=n) is not None, n
+
+
+def test_cocycle_extension_equivalent_drops_pass(monkeypatch):
+    # rel1 and rel4 imply rel3 at i <= n-3, and the other rows imply any one
+    # rel4: no table tells these validators from the full one
+    for label in ("rel3[i=1,j=5]", "rel4[i=2]", "rel1[i=1]"):
+        _drop_label(monkeypatch, label)
+        assert verify.cocycle_extension(n=5) is None, label
+
+
+def test_unimodular_rank():
+    assert verify._unimodular_rank([[1, 2], [2, 3], [3, 5]]) == 2
+    assert verify._unimodular_rank([[0, 0], []]) == 0
+    # no +-1 pivot: no rank, rather than a guess over Q
+    assert verify._unimodular_rank([[2, 3]]) is None
+    assert verify._unimodular_rank([[2, 0], [0, 1]]) is None
