@@ -12,11 +12,13 @@ and the action extends to braid words so that ``auto(a) . auto(b) = auto(ab)``
 ``(x, a)(y, b) = (x * a(y), ab)`` used in :mod:`braidphase.cocycle`.
 
 :func:`apply_braid` computes ``auto(l_1 ... l_L)(w) = auto(l_1)(...
-auto(l_L)(w))`` on the one word, right to left, one step per run ``s_i^e``:
-``s_i`` maps each ``(index, exponent)`` run of the word to at most three runs,
-and ``s_i^2`` conjugates x_i and x_{i+1} by ``c = x_i x_{i+1}`` and fixes the
-rest (Birman 1974).  A step costs the word's length in runs plus O(|e|) per
-segment of x_i, x_{i+1}; the word can still grow exponentially in L.
+auto(l_L)(w))`` on the one word, right to left, one step per run ``s_i^e``.
+``s_i^e`` maps the free factor <x_i, x_{i+1}> onto itself, so each maximal
+segment of letters x_i, x_{i+1} has a nonempty reduced image in them, and a
+step reduces as it writes: one pass for ``s_i^{+-1}`` and one for
+``(s_i^2)^m``, where ``s_i^2`` conjugates both letters by ``c = x_i x_{i+1}``
+(Birman 1974).  A step of ``s_i^(2m+r)`` costs its input runs plus O(|m|) per
+segment; the word can still grow exponentially in L.
 
 Worked n = 2 example: letter by letter, ``s1*s1`` sends ``x1`` to ``x2``
 and then to ``x2^-1*x1*x2``, and ``x2`` to ``x2^-1*x1^-1*x2*x1*x2``: both
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import RankError
-from .freegroup import FreeWord, _reduce
+from .freegroup import FreeWord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .braid import BraidWord
@@ -72,33 +74,67 @@ class FreeAutomorphism:
         return FreeWord(self.rank, raw)
 
 
+def _push(out: list, letters) -> None:
+    """Push reduced letters onto the reduced stack out: they cancel until one stays."""
+    for k, (idx, exp) in enumerate(letters):
+        if out[-1][0] == idx:
+            exp += out.pop()[1]
+        if exp:
+            out.append((idx, exp))
+            out += letters[k + 1:]
+            return
+
+
 def _substitute(runs, i: int, e: int) -> tuple[tuple[int, int], ...]:
-    """The reduced runs of auto(s_i^e)(w), for w given by its runs, in one
-    step of O(runs + |m| per segment) for e = 2m + r, r in {-1, 0, 1} of e's sign:
-    s_i^r is the one-letter substitution, and (s_i^2)^m wraps each maximal
-    segment of letters x_i, x_{i+1} as c^-m * segment * c^m, c = x_i x_{i+1}."""
+    """The reduced runs of auto(s_i^e)(w), for the runs of a reduced word w, in
+    O(runs + |m| per segment) for e = 2m + r, r in {-1, 0, 1} of e's sign.
+    A segment's image is a nonempty reduced word in x_i, x_{i+1}, so other runs
+    are copied as they are.  s_i^r sends p^k to q^k and q^k to q^-r p^k q^r,
+    (p, q) = (x_i, x_{i+1}) for r = 1 and (x_{i+1}, x_i) for r = -1, and only q
+    letters meet; (s_i^2)^m wraps each segment as c^-m * segment * c^m with
+    c = x_i x_{i+1}.  Each is one pass, merging on the output stack as it writes."""
     j = i + 1
     m, r = (e // 2, e % 2) if e > 0 else (-(-e // 2), -(-e % 2))
-    c, c_inv = ((i, 1), (j, 1)), ((j, -1), (i, -1))
-    c_m, c_minus_m = (c * m, c_inv * m) if m > 0 else (c_inv * -m, c * -m)
-    out: list[tuple[int, int]] = []
-    inside = False  # in a segment of letters x_i, x_{i+1}
-    for run in (*runs, (0, 0)):  # (0, 0) closes a last segment; _reduce drops it
-        idx, exp = run
-        if idx != i and idx != j:
-            out += c_m if inside else ()
-            out.append(run)
-            inside = False
-            continue
-        out += () if inside else c_minus_m
-        inside = True
-        if not r:
-            out.append(run)
-        elif idx == i:  # x_i^e -> x_{i+1}^e, or x_i x_{i+1}^e x_i^-1
-            out += ((j, exp),) if r == 1 else ((i, 1), (j, exp), (i, -1))
-        else:  # x_{i+1}^e -> x_{i+1}^-1 x_i^e x_{i+1}, or x_i^e
-            out += ((j, -1), (i, exp), (j, 1)) if r == 1 else ((i, exp),)
-    return _reduce(out)
+    out = [(0, 0)]  # index 0 meets no letter; out[0] is dropped at the end
+    if r:
+        p, q = (i, j) if r == 1 else (j, i)
+        for run in runs:
+            idx, k = run
+            if idx != p and idx != q:
+                out.append(run)
+                continue
+            exp = k if idx == p else -r  # the q letter the run's image starts with
+            if out[-1][0] == q:
+                exp += out.pop()[1]
+            if exp:
+                out.append((q, exp))
+            if idx == q:
+                out += ((p, k), (q, r))
+        if m:  # the wrap pass reads this out, and copies its out[0] first
+            runs, out = out, []
+    if m:
+        c, c_inv = ((i, 1), (j, 1)), ((j, -1), (i, -1))
+        c_m, c_minus_m = (c * m, c_inv * m) if m > 0 else (c_inv * -m, c * -m)
+        inside = False  # in a segment of letters x_i, x_{i+1}
+        for run in runs:
+            idx, exp = run
+            if idx != i and idx != j:
+                if inside:
+                    _push(out, c_m)
+                    inside = False
+                out.append(run)
+                continue
+            if not inside:
+                out += c_minus_m
+                inside = True
+            if out[-1][0] == idx:
+                exp += out.pop()[1]
+            if exp:
+                out.append((idx, exp))
+        if inside:
+            _push(out, c_m)
+    del out[0]
+    return tuple(out)
 
 
 def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:

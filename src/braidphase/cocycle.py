@@ -184,10 +184,11 @@ def extend(c: BraidOneCocycle, a: BraidWord, x: FreeWord) -> Angle:
     swaps v_i and v_{i+1}: sum(v) stays, and v_{i+1} + ... + v_n changes by
     what the letter adds to N_ii - N_i,i+1.  So one pass keeps only N_i,i+1,
     N_ii follows from the final v, and all off-band counts total e sum(v) -
-    sum(N_ii + N_i,i+1) for the word's exponent sum e, weighted by mu2 =
-    phi(s_1, x_3).  Off-band entries unlike mu2 (none in a valid table) take
-    their own counts off that total in a second pass, over the runs.  O(L +
-    n^2) integer steps, plus O(L (1 + d)) for d such entries in a row.
+    sum(N_ii + N_i,i+1) for the word's exponent sum e, weighted by mu2, a
+    value two of phi(s_1, x_3), phi(s_2, x_1), phi(s_{n-1}, x_1) share if any.
+    Off-band entries unlike mu2 (none in a valid table) take their own counts
+    off that total in a second pass, over the runs.  O(L + n^2) integer
+    steps, plus O(L (1 + d)) for d such entries in a row.
     """
     if a.strands != c.n or x.rank != c.n:
         raise RankError("cocycle, braid word and free word must share one rank")
@@ -197,7 +198,9 @@ def extend(c: BraidOneCocycle, a: BraidWord, x: FreeWord) -> Angle:
         p, q = v[i], v[i + 1]
         v[i], v[i + 1] = q, p
         band[i] += q if sign == 1 else -p
-    mu2, off = table[0][2] if n > 2 else None, sum(e for _, e in a.letters) * sum(v)
+    s1x3, s2x1, last = (table[0][2], table[1][0], table[-1][0]) if n > 2 else (None,) * 3
+    mu2 = s1x3 if s1x3 is s2x1 or s1x3 == s2x1 or s1x3 is last or s1x3 == last else s2x1
+    off = sum(e for _, e in a.letters) * sum(v)
     terms, dev, drift = [], {}, 0
     for i, row in zip(range(n - 1, 0, -1), reversed(table)):
         drift += v[i + 1] - start[i + 1]  # the change of v_{i+1} + ... + v_n

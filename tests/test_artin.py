@@ -1,4 +1,6 @@
+import pathlib
 import random
+import runpy
 
 import pytest
 
@@ -11,6 +13,7 @@ from braidphase.braid import (
     parse_braid_word,
     random_braid_word,
     random_pure_braid_word,
+    random_reduced_word,
 )
 from braidphase.errors import RankError
 from braidphase.freegroup import FreeWord, parse_free_word
@@ -231,3 +234,37 @@ def test_run_step_closed_forms():
             assert apply_braid(BraidWord(n, ((i, 2 * m),)), x) == x.conjugate_by(c ** m)
             assert apply_braid(BraidWord(n, ((i, 2 * m + 1),)), x) == y.conjugate_by(c ** m)
             assert apply_braid(BraidWord(n, ((i, 2 * m),)), c) == c
+
+
+def test_run_step_round_trip():
+    # s_i^-e undoes s_i^e, so the second step cancels nearly all the first one
+    # wrote, on the output stack; exponents -7..8, and |m| of 499 or 500 on
+    # every tenth word, which wraps each segment in some 1,000 letters of c^m
+    rng = random.Random(27)
+    kinds = ("ends", "none", "any")
+    for k in range(3000):
+        n = rng.randint(2, 7)
+        i = rng.randint(1, n - 1)
+        e = rng.choice((-1001, -1000, 999, 1000) if k % 10 == 0 else RUN_EXPONENTS)
+        w = _word_for_run(rng, n, i, kinds[k % 3]).letters
+        image = _substitute(w, i, e)
+        assert FreeWord(n, image).letters == image, (n, i, e, w)  # already reduced
+        assert _substitute(image, i, -e) == w, (n, i, e, w)
+
+
+def test_identity_braid_swells_and_collapses():
+    # u * v^-1 for the seeded equal pairs (u, v) of scripts/bench_equal.py
+    # --pair, v being u with relators put in, is the identity braid: v^-1 swells
+    # a word of 6 letters, none next to its inverse, to up to some 20,000 runs,
+    # and u cancels them back
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"
+    pair = runpy.run_path(str(path))["pair"]
+    rng, swell = random.Random(60), 0
+    for n, length in ((3, 24), (4, 40), (5, 40), (6, 40)):
+        for seed in range(3):
+            u, v = (parse_braid_word(text, n) for text in pair(n, length, seed))
+            w = FreeWord(n, tuple(random_reduced_word(n + 1, 6, rng).units))
+            middle = apply_braid(v.inverse(), w)
+            assert apply_braid(u, middle) == w == apply_braid(u * v.inverse(), w), (n, seed)
+            swell = max(swell, len(middle.letters))
+    assert swell > 10_000

@@ -274,6 +274,23 @@ def test_extend_matches_literal_recursion():
             assert extend(c, w, x) == _naive_extend(c, w, x)
 
 
+def test_extend_with_each_off_band_entry_raised():
+    # extend weights the off-band total by a value two of phi(s1, x3),
+    # phi(s2, x1) and phi(s_{n-1}, x1) share; raising each off-band entry in
+    # turn makes each of them the odd one, and every other entry too
+    rng = random.Random(109)
+    for n in (3, 4, 5):
+        base = [list(row) for row in random_braid_cocycle(n, rng, ("th1", "th2")).table]
+        for i in range(n - 1):
+            for j in (j for j in range(n) if j not in (i, i + 1)):
+                rows = [row.copy() for row in base]
+                rows[i][j] += Angle.symbol("th4")
+                c = BraidOneCocycle(n, tuple(tuple(row) for row in rows))
+                w = random_braid_word(n, rng.randint(1, 8), rng)
+                x = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(4)))
+                assert extend(c, w, x) == _naive_extend(c, w, x), (n, i, j)
+
+
 # str(extend(...)) recorded with the per-letter Angle recursion on seeded
 # (n, seed, kind of table, value) cases that _naive_extend cannot reach: words
 # of 625 random letters of both signs, tables with three symbols.  "valid"
