@@ -144,4 +144,7 @@ def apply_braid(b: BraidWord, word: FreeWord) -> FreeWord:
     runs = word.letters
     for i, e in reversed(b.letters):
         runs = _substitute(runs, i, e)
-    return FreeWord(word.rank, runs)
+    out = object.__new__(FreeWord)  # runs are reduced and in range: no second _reduce
+    object.__setattr__(out, "rank", word.rank)
+    object.__setattr__(out, "letters", runs)
+    return out

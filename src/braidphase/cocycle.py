@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import artin
 from .braid import (
@@ -49,7 +49,6 @@ from .braid import (
     _pair_index,
     _pairs,
     center_z,
-    center_z_pure_word,
     equal as braid_equal,
     linking_numbers,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "PureOneCocycle",
     "SemidirectElement",
     "TwoCocycleSigmaPhi",
-    "TabulatedOmega",
     "CocycleValidation",
     "SigmaRegularReport",
     "Verdict",
@@ -494,44 +492,6 @@ def sigma_regular(
 
 
 # ---------------------------------------------------------------------------
-# External 2-cocycles on the pure braid group (for the tower construction)
-# ---------------------------------------------------------------------------
-
-if TYPE_CHECKING:  # at run time typing's cache would keep this alias, and so the
-    # classes and modules of every earlier import of the package, alive
-    OmegaOracle = Callable[[PureWord, PureWord], Angle]
-
-
-@dataclass(frozen=True)
-class TabulatedOmega:
-    """An external 2-cocycle given only on tabulated pairs of a-words.
-
-    Keys are label pairs using ``a(i,j)`` for generators and ``z`` for the
-    full twist.  Lookups outside the table raise :class:`MissingOmegaError`.
-    """
-
-    n: int
-    values: Mapping[tuple[str, str], Angle]
-
-    def _label(self, w: PureWord) -> str:
-        if len(w.letters) == 1 and w.letters[0][1] == 1:
-            return str(w)
-        if w == center_z_pure_word(self.n):
-            return "z"
-        raise MissingOmegaError(f"no omega label for {w}")
-
-    def __call__(self, u: PureWord, v: PureWord) -> Angle:
-        if u.strands != self.n or v.strands != self.n:
-            raise RankError("omega arguments must match the declared rank")
-        if not u.letters or not v.letters:
-            return Angle.zero()
-        key = (self._label(u), self._label(v))
-        if key not in self.values:
-            raise MissingOmegaError(f"omega value for {key} not supplied")
-        return self.values[key]
-
-
-# ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
 
@@ -572,7 +532,9 @@ _PURE_FAMILIES = {
 
 
 def evaluate_conditions(
-    family: str, table: BraidOneCocycle | PureOneCocycle, omega: OmegaOracle | None = None
+    family: str,
+    table: BraidOneCocycle | PureOneCocycle,
+    omega: Mapping[tuple[str, str], Angle] | None = None,
 ) -> Verdict:
     """The verdict of family 'bn', 'an', 'pn' or 'mackey' (any case) on a table.
 
@@ -592,7 +554,11 @@ def evaluate_conditions(
     omega(a_{ij}, z) - omega(z, a_{ij}), is nontorsion: if none is the weak
     closure is not a factor, and if one is the answer is open (Indeterminate).
 
-    A table of the other kind raises :class:`ParseError`.
+    ``omega`` is the table of :func:`omega_from_json`, read as given: the
+    values ``omega[("a(i,j)", "z")]`` and ``omega[("z", "a(i,j)")]``, where
+    ``z`` is the full twist (``a(1,2)`` itself on two strands).  A pair it
+    lacks raises :class:`MissingOmegaError`, and a table of the other kind
+    :class:`ParseError`.
     """
     family = family.lower()
     if family not in _BRAID_FAMILIES and family not in _PURE_FAMILIES:
@@ -619,13 +585,15 @@ def evaluate_conditions(
         return Verdict(family, n, "GuaranteedSimpleAndUniqueTrace", cit_sufficient, details)
     if family == "pn" and n == 2:  # the one row sum is nu_1 + nu_2
         return Verdict(family, n, "NotFactor", cit_iff, details)
-    zw = center_z_pure_word(n) if family == "mackey" else None
     sums = []
     for (i, j), row in zip(_pairs(n), table.rows):
         total = Angle.combination((1, v) for v in row)
-        if zw is not None:
-            aw = PureWord(n, (((i, j), 1),))
-            total = total + omega(aw, zw) - omega(zw, aw)
+        if family == "mackey":
+            a = f"a({i},{j})"
+            missing = next((k for k in ((a, "z"), ("z", a)) if k not in omega), None)
+            if missing:
+                raise MissingOmegaError(f"omega value for {missing} not supplied")
+            total = total + omega[a, "z"] - omega["z", a]
         sums.append(total)
         details[key.format(i=i, j=j, n=n)] = str(total)
     if any(not v.is_torsion for v in sums):
@@ -753,8 +721,10 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
     return PureOneCocycle(n, tuple(rows))
 
 
-def omega_from_json(doc: Mapping, n: int) -> TabulatedOmega:
-    """Read tabulated omega values [["a(i,j)"|"z", same, angle], ...], each pair once."""
+def omega_from_json(doc: Mapping, n: int) -> dict[tuple[str, str], Angle]:
+    """Read omega values [["a(i,j)"|"z", same, angle], ...], each pair once, into
+    the table {(label, label): angle} that :func:`evaluate_conditions` reads;
+    labels are written a(i,j) and z, without spaces or leading zeros."""
     if not isinstance(doc, (list, tuple)):
         raise ParseError(f"omega must be a list of entries, got {doc!r}")
     values: dict[tuple[str, str], Angle] = {}
@@ -772,4 +742,4 @@ def omega_from_json(doc: Mapping, n: int) -> TabulatedOmega:
         if key in values:
             raise ParseError(f"repeated omega entry for {key[0]}, {key[1]}")
         values[key] = parse_angle(str(item[2]))
-    return TabulatedOmega(n, values)
+    return values

@@ -440,6 +440,18 @@ def test_verdict_mackey_missing_omega(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "NotFactor"
 
 
+def test_verdict_mackey_two_strands_reads_z_labels(tmp_path, capsys):
+    # z is the one-letter word a(1,2) on two strands; the document's labels
+    # are read as written, so ("a(1,2)", "z") and ("z", "a(1,2)") are found
+    doc = tmp_path / "two.json"
+    omega = [["a(1,2)", "z", "1/4"], ["z", "a(1,2)", "1/4"]]
+    doc.write_text(json.dumps({"n": 2, "entries": [["a(1,2)", "x1", "1/2"]], "omega": omega}))
+    code, out = run_cli(capsys, "verdict", "--cocycle", str(doc), "--family", "mackey")
+    verdict = json.loads(out)
+    assert code == 0 and verdict["verdict"] == "NotFactor"
+    assert verdict["details"]["condition-iv(a(1,2))"] == "1/2"
+
+
 @pytest.mark.parametrize("spelling", ["a( {i} , {j} )", "a(0{i},{j})"])
 def test_verdict_mackey_omega_label_spellings(tmp_path, capsys, spelling):
     entries = [["a(1,2)", "x1", "1/2"]]

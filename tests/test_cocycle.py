@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from braidphase.braid import (
 from braidphase.cocycle import (
     BraidOneCocycle,
     SemidirectElement,
-    TabulatedOmega,
     TwoCocycleSigmaPhi,
     build_braid_cocycle,
     build_pure_cocycle,
@@ -793,48 +793,37 @@ def test_annular_verdicts():
 
 def test_mackey_verdicts():
     n = 3
-    zero_omega = TabulatedOmega(
-        n,
-        {
-            (f"a({i},{j})", "z"): Angle.zero()
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        }
-        | {
-            ("z", f"a({i},{j})"): Angle.zero()
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        },
-    )
+    zero_omega = {
+        key: Angle.zero()
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for key in ((f"a({i},{j})", "z"), ("z", f"a({i},{j})"))
+    }
     simple = build_pure_cocycle(n, {(1, 2): [TH1, Angle.zero(), Angle.zero()]})
     v = evaluate_conditions("mackey", simple, zero_omega)
     assert v.verdict == "SimpleAndUniqueTrace"  # iff on three strands
     # from four strands a nontorsion nu_k is only sufficient; omega is not read
     four = build_pure_cocycle(4, {(1, 2): [TH1] + [Angle.zero()] * 3})
-    v = evaluate_conditions("mackey", four, TabulatedOmega(4, {}))
+    v = evaluate_conditions("mackey", four, {})
     assert v.verdict == "GuaranteedSimpleAndUniqueTrace" and v.details["nu1"] == "th1"
     flat = build_pure_cocycle(n, {})
     v = evaluate_conditions("mackey", flat, zero_omega)
     assert v.verdict == "NotFactor" and v.details["kleppner"] == "fails"
     # omega correction can switch Kleppner on while every nu_k stays torsion
-    twisted = TabulatedOmega(
-        n,
-        dict(zero_omega.values)
-        | {("a(1,2)", "z"): Angle.symbol("th9"), ("z", "a(1,2)"): Angle.zero()},
-    )
+    twisted = zero_omega | {("a(1,2)", "z"): Angle.symbol("th9")}
     v = evaluate_conditions("mackey", flat, twisted)
     assert v.verdict == "Indeterminate" and v.details["kleppner"] == "holds"
     with pytest.raises(MissingOmegaError):
         evaluate_conditions("mackey", flat, None)
-    missing = TabulatedOmega(n, {})
-    with pytest.raises(MissingOmegaError):
-        evaluate_conditions("mackey", flat, missing)
+    for key in zero_omega:
+        with pytest.raises(MissingOmegaError, match=f"omega value for {re.escape(str(key))} not"):
+            evaluate_conditions("mackey", flat, {k: v for k, v in zero_omega.items() if k != key})
 
 
 def test_verdict_table_kind_and_family_are_checked():
     braid = build_braid_cocycle(3, mu1=TH1)
     pure = restrict_to_pure(braid)
-    omega = TabulatedOmega(3, {})
+    omega = {}
     for family, table in (("bn", pure), ("AN", pure), ("pn", braid), ("mackey", braid)):
         kind = "braid" if family.lower() in ("bn", "an") else "pure"
         with pytest.raises(ParseError, match=f"family {family.lower()} expects a {kind}"):
@@ -895,12 +884,12 @@ def _verdict_grid() -> list[dict]:
                     for key in ((f"a({i},{j})", "z"), ("z", f"a({i},{j})")):
                         extra = Angle.symbol("th2") if rng.random() < 0.15 else Angle.zero()
                         values[key] = small() + extra
-                record("mackey", table, TabulatedOmega(n, values))
+                record("mackey", table, values)
     return out
 
 
 # sha256 of the JSON list of _verdict_grid()'s documents.
-VERDICT_GRID_SHA256 = "9bfddecff32a4ed76d0fc2d20496b42e4d260861b4802d04a1f67a30bddfc72e"
+VERDICT_GRID_SHA256 = "18caaec89f9e1bf4a096076ffa6daaf230f56795a5123bd3de7822a51d88aed9"
 
 
 def test_verdict_golden():

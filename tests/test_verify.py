@@ -4,6 +4,8 @@ import random
 from braidphase import artin, verify
 from braidphase.cli import main
 from braidphase.cocycle import CocycleValidation
+from braidphase.freegroup import Character
+from braidphase.phase import Angle
 
 # Every check ``braidphase verify --max-n 6`` runs, with its suite.
 REGISTRY_AT_6 = [
@@ -144,6 +146,38 @@ def test_cocycle_extension_equivalent_drops_pass(monkeypatch):
     for label in ("rel3[i=1,j=5]", "rel4[i=2]", "rel1[i=1]"):
         _drop_label(monkeypatch, label)
         assert verify.cocycle_extension(n=5) is None, label
+
+
+def test_classification_sees_mutant_similarity(monkeypatch):
+    # similarity read off mu1 alone, witness by the same recurrence, unchecked
+    def mu1_only(c1, c2):
+        if c1.entry(1, 1) + c1.entry(1, 2) != c2.entry(1, 1) + c2.entry(1, 2):
+            return None
+        values = [Angle.zero()]
+        for i in range(1, c1.n):
+            values.append(values[-1] + c1.entry(i, i) - c2.entry(i, i))
+        return Character(c1.n, tuple(values))
+
+    monkeypatch.setattr(verify, "similar_braid_cocycles", mu1_only)
+    assert verify.classification(n=2) is None  # no mu2 on two strands
+    for n in range(3, 9):
+        assert verify.classification(n=n) is not None, n
+
+
+def test_classification_sees_a_shifted_witness(monkeypatch):
+    full = verify.similar_braid_cocycles
+
+    def shifted(c1, c2):
+        witness = full(c1, c2)
+        if witness is None:
+            return None
+        values = list(witness.values)
+        values[-1] += Angle.rational(1, 2)
+        return Character(witness.rank, tuple(values))
+
+    monkeypatch.setattr(verify, "similar_braid_cocycles", shifted)
+    for n in range(2, 9):
+        assert verify.classification(n=n) is not None, n
 
 
 def test_unimodular_rank():
