@@ -219,7 +219,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--suite", choices=("all", "braid", "cocycle", "infinite"), default="all"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument(
+        "--max-n", type=int, default=6,
+        help="run every check that takes a strand count at each n up to this (default 6)",
+    )
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -557,8 +557,8 @@ def evaluate_conditions(
     ``omega`` is the table of :func:`omega_from_json`, read as given: the
     values ``omega[("a(i,j)", "z")]`` and ``omega[("z", "a(i,j)")]``, where
     ``z`` is the full twist (``a(1,2)`` itself on two strands).  A pair it
-    lacks raises :class:`MissingOmegaError`, and a table of the other kind
-    :class:`ParseError`.
+    lacks raises :class:`MissingOmegaError`; a table of the other kind, and
+    on two strands unequal values for the one pair, raise :class:`ParseError`.
     """
     family = family.lower()
     if family not in _BRAID_FAMILIES and family not in _PURE_FAMILIES:
@@ -576,6 +576,10 @@ def evaluate_conditions(
         return Verdict(family, n, verdict, _BRAID_FAMILIES[family], details)
     if family == "mackey" and omega is None:
         raise MissingOmegaError("the mackey family needs omega values")
+    if family == "mackey" and n == 2:  # z = a(1,2), so the two keys name one pair
+        keys = [k for k in (("a(1,2)", "z"), ("z", "a(1,2)")) if k in omega]
+        if len(keys) == 2 and omega[keys[0]] != omega[keys[1]]:
+            raise ParseError(f"omega values for {keys[0]} and {keys[1]} differ, but z = a(1,2)")
     iff_rank, cit_iff, cit_sufficient, cit_kleppner, key = _PURE_FAMILIES[family]
     nus = [nu(table, k) for k in range(1, n + 1)]
     details = {f"nu{k}": str(v) for k, v in enumerate(nus, start=1)}

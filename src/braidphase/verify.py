@@ -6,7 +6,8 @@ without random inputs take ``rng=None`` and ignore it.  No cocycle check
 draws a table: each works on tables with a symbol per build parameter or per
 entry, which stand for every table, and the rng draws only the braid and free
 words that some of them evaluate on.  :data:`REGISTRY` lists every check
-once, with the parameters ``braidphase verify`` runs it at; the acceptance
+once; ``braidphase verify --max-n N`` runs each check that takes a strand count
+at every n from its least up to N, with no cap of its own, and the acceptance
 suite calls the same functions with its own seeds and sizes.
 """
 
@@ -143,7 +144,7 @@ def inner_witness(rng: random.Random, *, n: int, samples: int) -> str | None:
             c = random_braid_word(n, rng.randint(0, 8), rng)
             b = c * z ** rng.randint(-2, 2) * c.inverse()
         else:
-            b = random_pure_braid_word(n, 24, rng)
+            b = random_pure_braid_word(n, 24 + n * (n - 1) // 2, rng)
         w = is_inner_for_pure(b)
         if w is not None:
             for x in xs:
@@ -173,9 +174,9 @@ def remark_p3(rng: random.Random | None = None) -> str | None:
 
 
 def pure_rewrite(rng: random.Random, *, n: int, samples: int) -> str | None:
-    """Round trips on ``samples`` pure words of length 16 on ``n`` strands."""
+    """Round trips on ``samples`` pure words of 16 letters and a closing permutation."""
     for _ in range(samples):
-        w = random_pure_braid_word(n, 16, rng)
+        w = random_pure_braid_word(n, 16 + n * (n - 1) // 2, rng)
         if not is_pure(w):
             return f"generated word {w} is not pure"
         if not equal(rewrite_pure(w).expand(), w):
@@ -358,18 +359,18 @@ def z_relation(rng: random.Random | None = None, *, n: int) -> str | None:
 def kleppner_probe(rng: random.Random | None = None, *, n: int) -> str | None:
     """sigma-regularity of central powers, tested against x1..xn, s1..s_{n-1}.
     For central g the discrepancy h -> sigma(g, h) - sigma(h, g) is a
-    character (Kleppner, Math. Ann. 158, 1965), so these generators decide."""
+    character (Kleppner, Math. Ann. 158, 1965), so these generators decide.
+    On g = ((x1..xn)^k, z^k) it is k mu at x_j and -k phi(s_j, x1..xn) at s_j,
+    so as mu = (n-1) phi(s_j, x1..xn) g is regular iff k kills the row sum."""
     tests = _generators(n)
-    torsion = build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 8))
-    d = mu_phi(torsion).torsion_order()
-    if d is None:
-        return "total phase of a rational table is not torsion"
-    g = center_element(n, d * (n - 1))
-    if not sigma_regular(TwoCocycleSigmaPhi(torsion), g, tests).regular:
-        return "central element not sigma-regular despite torsion total phase"
+    sigma = TwoCocycleSigmaPhi(build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 2)))
+    k = extend(sigma.cocycle, BraidWord.generator(n, 1), _full_word(n)).torsion_order()
+    if sigma_regular(sigma, center_element(n), tests).regular:
+        return "central generator sigma-regular despite a nonzero torsion row sum"
+    if not sigma_regular(sigma, center_element(n, k), tests).regular:
+        return f"central power {k} not sigma-regular though k kills the row sum"
     free = build_braid_cocycle(n, Angle.symbol("th1"), Angle.zero())
-    g = center_element(n, n - 1)
-    report = sigma_regular(TwoCocycleSigmaPhi(free), g, tests)
+    report = sigma_regular(TwoCocycleSigmaPhi(free), center_element(n, n - 1), tests)
     if all(not report.discrepancies[j] for j in range(n)):
         return "no nonzero discrepancy against the free generators"
     if report.regular:
@@ -438,13 +439,13 @@ def sigma_identity(rng: random.Random, *, n: int) -> str | None:
 def pure_sigma_linking(rng: random.Random, *, n: int) -> str | None:
     """Pure sigma, evaluated through linking numbers, against the value on
     the rewritten a-alphabet word, on a table with a symbol t{i}_{j}_{k} per
-    entry and 20 pure words of length 16."""
+    entry and 20 pure words of 16 letters and a closing permutation."""
     c = build_pure_cocycle(n, {
         (i, j): [Angle.symbol(f"t{i}_{j}_{k}") for k in range(1, n + 1)] for i, j in _pairs(n)
     })
     sigma = TwoCocycleSigmaPhi(c)
     for _ in range(20):
-        b = random_pure_braid_word(n, 16, rng)
+        b = random_pure_braid_word(n, 16 + n * (n - 1) // 2, rng)
         y = FreeWord(
             n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(rng.randint(0, 6)))
         )
@@ -509,9 +510,9 @@ class Check:
     run: Callable[[random.Random], str | None]  # returns a counterexample or None
 
 
-def _sizes(low: int, high: int, **fixed):
-    """Parameters n = low..min(high, max_n), each with the ``fixed`` ones."""
-    return lambda max_n: [dict(n=n, **fixed) for n in range(low, min(high, max_n) + 1)]
+def _sizes(low: int, **fixed):
+    """Parameters n = low..max_n, each with the ``fixed`` ones."""
+    return lambda max_n: [dict(n=n, **fixed) for n in range(low, max_n + 1)]
 
 
 def _once(max_n: int) -> list[dict]:
@@ -519,27 +520,26 @@ def _once(max_n: int) -> list[dict]:
 
 
 def _embeddings(max_n: int) -> list[dict]:
-    top = min(6, max_n)
-    return [dict(m=m, n=n) for m in range(3, top + 1) for n in range(m + 1, top + 1)]
+    return [dict(m=m, n=n) for m in range(3, max_n + 1) for n in range(m + 1, max_n + 1)]
 
 
 # (id pattern, suite, citation, check, parameters for a given max_n)
 REGISTRY = (
     ("artin-relations.n{n}", "braid",
      "the defining braid relations hold under the free-group action",
-     artin_relations, _sizes(2, 6)),
+     artin_relations, _sizes(2)),
     ("braid-center.n{n}", "braid",
      "Delta^2 = (s1...s_{n-1})^n = a12 (a13 a23) ... , by both oracles",
-     braid_center, _sizes(3, 6)),
+     braid_center, _sizes(3)),
     ("center-action.n{n}", "braid",
      "the full twist acts as conjugation by x1...xn",
-     center_action, _sizes(2, 6)),
+     center_action, _sizes(2)),
     ("semidirect-center.n{n}", "braid",
      "x1...xn z is central in the semidirect product",
-     semidirect_center, _sizes(2, 6)),
+     semidirect_center, _sizes(2)),
     ("inner-witness.n{n}", "braid",
      "a pure braid acts by an inner automorphism exactly when it is a power of the full twist",
-     inner_witness, _sizes(2, 6, samples=20)),
+     inner_witness, _sizes(2, samples=20)),
     ("remark-a3", "braid",
      "(t1 t2)^2 = (t2 t1)^2 for t1 = s1, t2 = s2^2 in B_3",
      remark_a3, _once),
@@ -548,40 +548,40 @@ REGISTRY = (
      remark_p3, _once),
     ("pure-rewrite.n{n}", "braid",
      "a-alphabet rewriting of pure words round-trips to equal braids",
-     pure_rewrite, _sizes(2, 4, samples=20)),
+     pure_rewrite, _sizes(2, samples=20)),
     ("oracle-agreement", "braid",
      "the action oracle and the canonical-form oracle decide equality identically",
-     oracle_agreement, lambda max_n: [dict(max_n=min(5, max_n))]),
+     oracle_agreement, lambda max_n: [dict(max_n=max_n)]),
     ("dynnikov-agreement.n{n}", "braid",
      "Dynnikov coordinates and Garside normal forms decide equality identically",
-     dynnikov_agreement, lambda max_n: [dict(n=n) for n in range(2, max_n + 1)]),
+     dynnikov_agreement, _sizes(2)),
     ("permutation-homomorphism.n{n}", "braid",
      "the strand permutation map is multiplicative",
-     permutation_homomorphism, _sizes(2, 6)),
+     permutation_homomorphism, _sizes(2)),
     ("cocycle-classification.n{n}", "cocycle",
      "tables are valid and classified by (mu1, mu2) up to coboundary",
-     classification, _sizes(2, 5)),
+     classification, _sizes(2)),
     ("cocycle-extension.n{n}", "cocycle",
      "the relation families hold exactly when extension agrees on every defining relation",
-     cocycle_extension, _sizes(2, 8)),
+     cocycle_extension, _sizes(2)),
     ("z-relation.n{n}", "cocycle",
      "phi(z, x_i) = mu = (n-1) phi(s_j, x1...xn)",
-     z_relation, _sizes(3, 5)),
+     z_relation, _sizes(3)),
     ("kleppner-probe.n{n}", "cocycle",
      "central powers are sigma-regular exactly when the total phase is torsion",
-     kleppner_probe, _sizes(3, 4)),
+     kleppner_probe, _sizes(3)),
     ("verdict-logic", "cocycle",
      "verdicts follow the deformation criteria, including the open middle case",
      verdict_logic, _once),
     ("sigma-identity.n{n}", "cocycle",
      "sigma^phi is a normalized 2-cocycle on the semidirect product",
-     sigma_identity, _sizes(2, 4)),
+     sigma_identity, _sizes(2)),
     ("pure-sigma-linking.n{n}", "cocycle",
      "pure sigma^phi through linking numbers equals its value on the rewritten word",
-     pure_sigma_linking, _sizes(2, 5)),
+     pure_sigma_linking, _sizes(2)),
     ("coboundary.n{n}", "cocycle",
      "coboundaries are exactly the tables with vanishing parameters",
-     coboundary, _sizes(2, 5)),
+     coboundary, _sizes(2)),
     ("center-embedding.m{m}.n{n}", "infinite",
      "no nontrivial central element survives the strand-adding embedding",
      center_embedding, _embeddings),

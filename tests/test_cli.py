@@ -452,6 +452,18 @@ def test_verdict_mackey_two_strands_reads_z_labels(tmp_path, capsys):
     assert verdict["details"]["condition-iv(a(1,2))"] == "1/2"
 
 
+def test_verdict_mackey_two_strands_rejects_unequal_z_values(tmp_path, capsys):
+    # ("a(1,2)", "z") and ("z", "a(1,2)") name one pair on two strands, so
+    # unequal values are no 2-cocycle's data and fail closed
+    doc = tmp_path / "two.json"
+    omega = [["a(1,2)", "z", "1/4"], ["z", "a(1,2)", "1/4 + th2"]]
+    doc.write_text(json.dumps({"n": 2, "entries": [["a(1,2)", "x1", "1/2"]], "omega": omega}))
+    assert main(["verdict", "--cocycle", str(doc), "--family", "mackey"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: ")
+    assert "('a(1,2)', 'z')" in captured.err and "('z', 'a(1,2)')" in captured.err
+
+
 @pytest.mark.parametrize("spelling", ["a( {i} , {j} )", "a(0{i},{j})"])
 def test_verdict_mackey_omega_label_spellings(tmp_path, capsys, spelling):
     entries = [["a(1,2)", "x1", "1/2"]]

@@ -857,7 +857,7 @@ def _verdict_grid() -> list[dict]:
     def record(family, table, omega=None):
         try:
             out.append(evaluate_conditions(family, table, omega).to_json())
-        except MissingOmegaError as exc:
+        except (MissingOmegaError, ParseError) as exc:
             out.append({"family": family, "error": str(exc)})
 
     def small():
@@ -889,7 +889,7 @@ def _verdict_grid() -> list[dict]:
 
 
 # sha256 of the JSON list of _verdict_grid()'s documents.
-VERDICT_GRID_SHA256 = "18caaec89f9e1bf4a096076ffa6daaf230f56795a5123bd3de7822a51d88aed9"
+VERDICT_GRID_SHA256 = "4bb0c2c43279a6964e845fa9ad30f273478dee39f1ea11514d3bf412b6e32a75"
 
 
 def test_verdict_golden():

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 from braidphase import artin, verify
+from braidphase.braid import BraidWord, equal, random_pure_braid_word
 from braidphase.cli import main
 from braidphase.cocycle import CocycleValidation
 from braidphase.freegroup import Character
@@ -33,10 +34,12 @@ REGISTRY_AT_6 = [
     ("coboundary.n3", "cocycle"),
     ("coboundary.n4", "cocycle"),
     ("coboundary.n5", "cocycle"),
+    ("coboundary.n6", "cocycle"),
     ("cocycle-classification.n2", "cocycle"),
     ("cocycle-classification.n3", "cocycle"),
     ("cocycle-classification.n4", "cocycle"),
     ("cocycle-classification.n5", "cocycle"),
+    ("cocycle-classification.n6", "cocycle"),
     ("cocycle-extension.n2", "cocycle"),
     ("cocycle-extension.n3", "cocycle"),
     ("cocycle-extension.n4", "cocycle"),
@@ -54,6 +57,8 @@ REGISTRY_AT_6 = [
     ("inner-witness.n6", "braid"),
     ("kleppner-probe.n3", "cocycle"),
     ("kleppner-probe.n4", "cocycle"),
+    ("kleppner-probe.n5", "cocycle"),
+    ("kleppner-probe.n6", "cocycle"),
     ("oracle-agreement", "braid"),
     ("permutation-homomorphism.n2", "braid"),
     ("permutation-homomorphism.n3", "braid"),
@@ -63,10 +68,13 @@ REGISTRY_AT_6 = [
     ("pure-rewrite.n2", "braid"),
     ("pure-rewrite.n3", "braid"),
     ("pure-rewrite.n4", "braid"),
+    ("pure-rewrite.n5", "braid"),
+    ("pure-rewrite.n6", "braid"),
     ("pure-sigma-linking.n2", "cocycle"),
     ("pure-sigma-linking.n3", "cocycle"),
     ("pure-sigma-linking.n4", "cocycle"),
     ("pure-sigma-linking.n5", "cocycle"),
+    ("pure-sigma-linking.n6", "cocycle"),
     ("remark-a3", "braid"),
     ("remark-p3", "braid"),
     ("semidirect-center.n2", "braid"),
@@ -77,10 +85,13 @@ REGISTRY_AT_6 = [
     ("sigma-identity.n2", "cocycle"),
     ("sigma-identity.n3", "cocycle"),
     ("sigma-identity.n4", "cocycle"),
+    ("sigma-identity.n5", "cocycle"),
+    ("sigma-identity.n6", "cocycle"),
     ("verdict-logic", "cocycle"),
     ("z-relation.n3", "cocycle"),
     ("z-relation.n4", "cocycle"),
     ("z-relation.n5", "cocycle"),
+    ("z-relation.n6", "cocycle"),
 ]
 
 
@@ -93,13 +104,43 @@ def test_verify_registry_ids():
 # and counterexample, and the summary: a change of id, suite or citation moves
 # it, and new seeded inputs move it only when they change a status or a
 # counterexample (null while the check passes).
-VERIFY_REPORT_SHA256 = "d8d00d022af21abf0383fd1c27cdfc5d2590fdc0aee2d740acef5a642e2b10ee"
+VERIFY_REPORT_SHA256 = "8b7c9208114efe08cabaa0324558df9a2004c598e8e28349de7613d89384515d"
 
 
 def test_verify_report_golden(capsys):
     assert main(["verify", "--suite", "all", "--seed", "0", "--max-n", "6"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256
+
+
+def test_max_n_bounds_every_check():
+    # one size rule: each check that takes a strand count runs up to max_n
+    for m in (6, 10):
+        checks = {c.id: c for c in verify.build_checks(m)}
+        for pattern, *_ in verify.REGISTRY:
+            if "{n}" in pattern and "{m}" not in pattern:
+                assert pattern.format(n=m) in checks, (pattern, m)
+        assert f"center-embedding.m{m - 1}.n{m}" in checks
+        assert checks["oracle-agreement"].run.keywords == {"max_n": m}
+
+
+def test_pure_checks_draw_nontrivial_braids(monkeypatch):
+    # a draw of fixed length left no letters beside the closing permutation
+    # from n = 7 on (16 letters) or n = 8 (24), so every draw was the identity
+    draws = []
+
+    def recorded(n, length, rng):
+        draws.append(random_pure_braid_word(n, length, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(verify, "random_pure_braid_word", recorded)
+    for check, params in ((verify.pure_rewrite, {"samples": 20}),
+                          (verify.inner_witness, {"samples": 20}),
+                          (verify.pure_sigma_linking, {})):
+        for n in range(2, 11):
+            draws.clear()
+            assert check(random.Random(n), n=n, **params) is None
+            assert any(not equal(w, BraidWord.identity(n)) for w in draws), (check, n)
 
 
 def test_action_checks_run_the_action_callers_use(monkeypatch):
