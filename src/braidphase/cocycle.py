@@ -50,6 +50,8 @@ from .braid import (
     _pairs,
     center_z,
     equal as braid_equal,
+    is_inner_for_pure,
+    is_pure,
     linking_numbers,
 )
 from .errors import MissingOmegaError, ParseError, RankError
@@ -404,8 +406,14 @@ class SemidirectElement:
         binv = self.braid.inverse()
         return SemidirectElement(artin.apply_braid(binv, self.free.inverse()), binv)
 
-    def commutes_with(self, other: SemidirectElement) -> bool:
-        return self * other == other * self
+    @property
+    def is_central(self) -> bool:
+        """Commuting with every (y, e) means b pure and is_inner_for_pure(b) = w,
+        so b = z^k and w = (x1...xn)^k, which every braid fixes: (w, b) commutes
+        with every (e, c) too.  F_1 x| B_1 = Z is abelian.  No product is taken."""
+        if self.n == 1:
+            return True
+        return is_pure(self.braid) and is_inner_for_pure(self.braid) == self.free
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemidirectElement):
@@ -456,39 +464,31 @@ class TwoCocycleSigmaPhi:
 
 @dataclass(frozen=True)
 class SigmaRegularReport:
-    """Discrepancies sigma(g, h) - sigma(h, g) over the supplied tests.
-
-    A nonzero discrepancy proves that g is not sigma-regular.  ``regular``
-    (every discrepancy zero) is a decision when g is central and the tests
-    generate the group, and otherwise holds only over the tests.
-    """
+    """Discrepancies sigma(g, h) - sigma(h, g) of a central g at the
+    generators h = x1..xn, s1..s_{n-1}, in that order; ``regular`` (every
+    discrepancy zero) decides whether g is sigma-regular."""
 
     regular: bool
     discrepancies: tuple[Angle, ...]
 
 
-def sigma_regular(
-    sigma: TwoCocycleSigmaPhi,
-    g: SemidirectElement,
-    tests: Sequence[SemidirectElement],
-) -> SigmaRegularReport:
-    """Compare sigma(g, h) with sigma(h, g) for test elements h commuting with g.
+def _generators(n: int) -> list[SemidirectElement]:
+    """x1..xn, then s1..s_{n-1}, as elements of the semidirect product."""
+    e, one = FreeWord.identity(n), BraidWord.identity(n)
+    return [SemidirectElement(FreeWord.generator(n, j), one) for j in range(1, n + 1)] + [
+        SemidirectElement(e, BraidWord.generator(n, i)) for i in range(1, n)]
 
-    Every test element must commute with g (checked; violations raise).  g is
-    sigma-regular when the two agree on its whole centralizer.  For central g,
-    h -> sigma(g, h) - sigma(h, g) is a character (Kleppner, "Multipliers on
-    abelian groups", Math. Ann. 158, 1965), so a test set that generates the
-    group, such as x1..xn, s1..s_{n-1}, decides regularity.  Any other test
-    set only witnesses it.
-    """
-    discrepancies = []
-    for h in tests:
-        if not g.commutes_with(h):
-            raise ValueError(f"test element {h} does not commute with {g}")
-        discrepancies.append(sigma.evaluate(g, h) - sigma.evaluate(h, g))
-    return SigmaRegularReport(
-        regular=all(not d for d in discrepancies), discrepancies=tuple(discrepancies)
-    )
+
+def sigma_regular(sigma: TwoCocycleSigmaPhi, g: SemidirectElement) -> SigmaRegularReport:
+    """Decide whether the central element g is sigma-regular, that is whether
+    sigma(g, h) = sigma(h, g) for every h.  For central g, h -> sigma(g, h) -
+    sigma(h, g) is a character (Kleppner, "Multipliers on abelian groups",
+    Math. Ann. 158, 1965), so its values at the generators decide.  Raises
+    ValueError unless ``g.is_central``."""
+    if not g.is_central:
+        raise ValueError(f"{g} is not central")
+    found = tuple(sigma.evaluate(g, h) - sigma.evaluate(h, g) for h in _generators(g.n))
+    return SigmaRegularReport(not any(found), found)
 
 
 # ---------------------------------------------------------------------------

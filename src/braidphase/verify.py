@@ -45,6 +45,7 @@ from .cocycle import (
     BraidOneCocycle,
     SemidirectElement,
     TwoCocycleSigmaPhi,
+    _generators,
     build_braid_cocycle,
     build_pure_cocycle,
     center_element,
@@ -74,17 +75,6 @@ def _acts_alike(a: BraidWord, b: BraidWord) -> bool:
     difference; both braids fix x1...xn, which settles the image of x_n."""
     xs = (FreeWord.generator(a.strands, j) for j in range(1, a.strands))
     return all(apply_braid(a, x) == apply_braid(b, x) for x in xs)
-
-
-def _generators(n: int) -> list[SemidirectElement]:
-    """x1..xn, then s1..s_{n-1}, as elements of the semidirect product."""
-    return [
-        SemidirectElement(FreeWord.generator(n, j), BraidWord.identity(n))
-        for j in range(1, n + 1)
-    ] + [
-        SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, i))
-        for i in range(1, n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +114,27 @@ def center_action(rng: random.Random | None = None, *, n: int) -> str | None:
 
 
 def semidirect_center(rng: random.Random | None = None, *, n: int) -> str | None:
-    g = center_element(n)
-    for h in _generators(n):
-        if not g.commutes_with(h):
-            return f"central element fails to commute with {h}"
+    """is_central against commuting with every generator, by products, on the
+    powers 0 and 1 of the central generator (central) and on that generator
+    times each generator (not central)."""
+    gens, g = _generators(n), center_element(n)
+    cases = [(center_element(n, k), True) for k in (0, 1)] + [(g * h, False) for h in gens]
+    for e, central in cases:
+        by_products = all(e * h == h * e for h in gens)
+        if (e.is_central, by_products) != (central, central):
+            return f"on {e}: is_central {e.is_central}, by products {by_products}"
     return None
 
 
-def inner_witness(rng: random.Random, *, n: int, samples: int) -> str | None:
-    """is_inner_for_pure on ``samples`` pure braids, every other one a central
+def inner_witness(rng: random.Random, *, n: int) -> str | None:
+    """is_inner_for_pure on 20 pure braids, every other one a central
     power c z^k c^-1 in disguise.  Each witness w must conjugate every x_j as
     the braid does, by apply_braid; each None needs a generator s_i that does
     not commute with the braid, since the s_i generate B_n."""
     z = center_z(n)
     xs = [FreeWord.generator(n, j) for j in range(1, n + 1)]
     ss = [BraidWord.generator(n, i) for i in range(1, n)]
-    for t in range(samples):
+    for t in range(20):
         if t % 2 == 0:
             c = random_braid_word(n, rng.randint(0, 8), rng)
             b = c * z ** rng.randint(-2, 2) * c.inverse()
@@ -357,24 +352,22 @@ def z_relation(rng: random.Random | None = None, *, n: int) -> str | None:
 
 
 def kleppner_probe(rng: random.Random | None = None, *, n: int) -> str | None:
-    """sigma-regularity of central powers, tested against x1..xn, s1..s_{n-1}.
-    For central g the discrepancy h -> sigma(g, h) - sigma(h, g) is a
-    character (Kleppner, Math. Ann. 158, 1965), so these generators decide.
-    On g = ((x1..xn)^k, z^k) it is k mu at x_j and -k phi(s_j, x1..xn) at s_j,
-    so as mu = (n-1) phi(s_j, x1..xn) g is regular iff k kills the row sum."""
-    tests = _generators(n)
-    sigma = TwoCocycleSigmaPhi(build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 2)))
-    k = extend(sigma.cocycle, BraidWord.generator(n, 1), _full_word(n)).torsion_order()
-    if sigma_regular(sigma, center_element(n), tests).regular:
-        return "central generator sigma-regular despite a nonzero torsion row sum"
-    if not sigma_regular(sigma, center_element(n, k), tests).regular:
-        return f"central power {k} not sigma-regular though k kills the row sum"
+    """sigma_regular on g = ((x1..xn)^k, z^k) against the closed form of its
+    discrepancies: k mu at each x_j, -k phi(s_j, x1..xn) at each s_j, so g is
+    regular iff k kills the row sum, as mu = (n-1) phi(s_j, x1..xn).  On the
+    torsion table mu1 = 1/4, mu2 = 1/2 at k = 1 and the row sum's order, and
+    on mu1 = th1, whose total phase is not torsion, at k = n-1."""
+    full = _full_word(n)
+    torsion = build_braid_cocycle(n, Angle.rational(1, 4), Angle.rational(1, 2))
+    order = extend(torsion, BraidWord.generator(n, 1), full).torsion_order()
     free = build_braid_cocycle(n, Angle.symbol("th1"), Angle.zero())
-    report = sigma_regular(TwoCocycleSigmaPhi(free), center_element(n, n - 1), tests)
-    if all(not report.discrepancies[j] for j in range(n)):
-        return "no nonzero discrepancy against the free generators"
-    if report.regular:
-        return "central element sigma-regular despite nontorsion total phase"
+    for c, k, regular in ((torsion, 1, False), (torsion, order, True), (free, n - 1, False)):
+        expected = (mu_phi(c).scale(k),) * n + tuple(
+            -extend(c, BraidWord.generator(n, j), full).scale(k) for j in range(1, n)
+        )
+        report = sigma_regular(TwoCocycleSigmaPhi(c), center_element(n, k))
+        if report.discrepancies != expected or report.regular != regular:
+            return f"power {k}: {list(map(str, report.discrepancies))}, regular {report.regular}"
     return None
 
 
@@ -539,7 +532,7 @@ REGISTRY = (
      semidirect_center, _sizes(2)),
     ("inner-witness.n{n}", "braid",
      "a pure braid acts by an inner automorphism exactly when it is a power of the full twist",
-     inner_witness, _sizes(2, samples=20)),
+     inner_witness, _sizes(2)),
     ("remark-a3", "braid",
      "(t1 t2)^2 = (t2 t1)^2 for t1 = s1, t2 = s2^2 in B_3",
      remark_a3, _once),
@@ -600,14 +593,20 @@ def build_checks(max_n: int) -> list[Check]:
 
 
 def run_verify(suite: str, seed: int, max_n: int, timings: bool) -> dict:
-    """Run the checks of ``suite`` ("all" for every suite), sorted by id,
-    each from ``random.Random(f"{seed}:{id}")``; returns the JSON report."""
+    """Run the checks of ``suite`` ("all" for every suite), sorted by id, each
+    from ``random.Random(f"{seed}:{id}")``; returns the JSON report.  A check that
+    raises fails with the exception as its counterexample; MemoryError propagates."""
     selected = [c for c in build_checks(max_n) if suite == "all" or c.suite == suite]
     selected.sort(key=lambda c: c.id)
     records = []
     for check in selected:
         start = time.perf_counter()
-        counterexample = check.run(random.Random(f"{seed}:{check.id}"))
+        try:
+            counterexample = check.run(random.Random(f"{seed}:{check.id}"))
+        except MemoryError:
+            raise
+        except Exception as exc:
+            counterexample = f"{type(exc).__name__}: {exc}"
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         record = {
             "id": check.id,

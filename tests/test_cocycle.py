@@ -56,18 +56,6 @@ def full_word(n: int) -> FreeWord:
     return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
 
 
-def generators_and_tests(n: int) -> list[SemidirectElement]:
-    out = [
-        SemidirectElement(FreeWord.generator(n, j), BraidWord.identity(n))
-        for j in range(1, n + 1)
-    ]
-    out += [
-        SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, i))
-        for i in range(1, n)
-    ]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
@@ -655,7 +643,6 @@ def test_sigma_two_cocycle_identity_and_normalization():
 
 def test_sigma_regular_central_probe():
     n = 3
-    tests = generators_and_tests(n)
     c = build_braid_cocycle(n, mu1=Angle.rational(1, 4), mu2=Angle.rational(1, 8))
     mu = mu_phi(c)
     d = mu.torsion_order()
@@ -663,22 +650,21 @@ def test_sigma_regular_central_probe():
     # discrepancy against x_j for ((x1..xn)^k z^k, k arbitrary) is k*mu
     for k in (1, 2, d, d * (n - 1)):
         g = center_element(n, k)
-        report = sigma_regular(sigma, g, tests)
+        report = sigma_regular(sigma, g)
         for j in range(n):
             assert report.discrepancies[j] == mu.scale(k)
     g = center_element(n, d * (n - 1))
-    assert sigma_regular(sigma, g, tests).regular
-    # identity is regular against anything that commutes with it
-    assert sigma_regular(sigma, SemidirectElement.identity(n), tests).regular
+    assert sigma_regular(sigma, g).regular
+    # the identity is regular
+    assert sigma_regular(sigma, SemidirectElement.identity(n)).regular
 
 
 def test_sigma_regular_nontorsion_detects():
     n = 3
-    tests = generators_and_tests(n)
     c = build_braid_cocycle(n, mu1=TH1, mu2=Angle.zero())
     assert mu_phi(c) == TH1.scale(2)
     g = center_element(n, n - 1)
-    report = sigma_regular(TwoCocycleSigmaPhi(c), g, tests)
+    report = sigma_regular(TwoCocycleSigmaPhi(c), g)
     assert not report.regular
     assert any(report.discrepancies[j] for j in range(n))
 
@@ -687,8 +673,7 @@ def test_sigma_regular_rank2_example():
     # mu = 1/2 and g = ((x1 x2)^2, z^2): the discrepancy 2 * (1/2) vanishes
     c = build_braid_cocycle(2, mu1=Angle.rational(1, 2))
     assert mu_phi(c) == Angle.rational(1, 2)
-    tests = generators_and_tests(2)
-    report = sigma_regular(TwoCocycleSigmaPhi(c), center_element(2, 2), tests)
+    report = sigma_regular(TwoCocycleSigmaPhi(c), center_element(2, 2))
     assert report.regular
     assert report.discrepancies[0] == Angle.zero()
 
@@ -736,13 +721,34 @@ def test_mackey_two_cocycle_evaluation():
         assert lhs == rhs
 
 
+def _noncentral_elements(n: int) -> list[SemidirectElement]:
+    """(x1, e), (e, s1), ((x1..xn)^2, z) and (x1..xn, z^2)."""
+    e, z, full = BraidWord.identity(n), center_z(n), full_word(n)
+    return [
+        SemidirectElement(FreeWord.generator(n, 1), e),
+        SemidirectElement(FreeWord.identity(n), BraidWord.generator(n, 1)),
+        SemidirectElement(full ** 2, z),
+        SemidirectElement(full, z ** 2),
+    ]
+
+
+def test_is_central_by_the_inner_invariant():
+    for n in (2, 3, 4, 5):
+        for k in range(-2, 3):
+            assert center_element(n, k).is_central, (n, k)
+        for g in _noncentral_elements(n):
+            assert not g.is_central, g
+    # F_1 x| B_1 = Z is abelian
+    assert SemidirectElement(FreeWord.generator(1, 1) ** 3, BraidWord.identity(1)).is_central
+
+
 def test_sigma_regular_rejects_noncommuting_tests():
-    n = 3
-    c = build_braid_cocycle(n, Angle.zero(), Angle.zero())
-    g = SemidirectElement(FreeWord.generator(n, 1), BraidWord.identity(n))
-    h = SemidirectElement(FreeWord.generator(n, 2), BraidWord.identity(n))
-    with pytest.raises(ValueError):
-        sigma_regular(TwoCocycleSigmaPhi(c), g, [h])
+    # a noncentral element fails to commute with some generator: no decision
+    for n in (2, 3, 4):
+        sigma = TwoCocycleSigmaPhi(build_braid_cocycle(n, TH1))
+        for g in _noncentral_elements(n):
+            with pytest.raises(ValueError):
+                sigma_regular(sigma, g)
 
 
 # ---------------------------------------------------------------------------

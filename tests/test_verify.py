@@ -2,9 +2,15 @@ import hashlib
 import random
 
 from braidphase import artin, verify
-from braidphase.braid import BraidWord, equal, random_pure_braid_word
+from braidphase.braid import (
+    BraidWord,
+    equal,
+    is_inner_for_pure,
+    is_pure,
+    random_pure_braid_word,
+)
 from braidphase.cli import main
-from braidphase.cocycle import CocycleValidation
+from braidphase.cocycle import CocycleValidation, SemidirectElement, SigmaRegularReport
 from braidphase.freegroup import Character
 from braidphase.phase import Angle
 
@@ -135,7 +141,7 @@ def test_pure_checks_draw_nontrivial_braids(monkeypatch):
 
     monkeypatch.setattr(verify, "random_pure_braid_word", recorded)
     for check, params in ((verify.pure_rewrite, {"samples": 20}),
-                          (verify.inner_witness, {"samples": 20}),
+                          (verify.inner_witness, {}),
                           (verify.pure_sigma_linking, {})):
         for n in range(2, 11):
             draws.clear()
@@ -153,6 +159,52 @@ def test_action_checks_run_the_action_callers_use(monkeypatch):
     monkeypatch.setattr(artin, "_substitute", swap)
     assert verify.center_action(n=3) is not None
     assert verify.oracle_agreement(random.Random(0), max_n=4) is not None
+
+
+def test_kleppner_probe_sees_a_skipped_generator(monkeypatch):
+    # sigma_regular without the x_j, or without the s_j discrepancies; at
+    # n = 5 and 9 mu = (n-1)/4 vanishes, so the x_j alone cannot tell k = 1
+    full = verify.sigma_regular
+    for kept in (lambda d, n: d[n:], lambda d, n: d[:n]):
+        def partial(sigma, g, kept=kept):
+            found = kept(full(sigma, g).discrepancies, g.n)
+            return SigmaRegularReport(not any(found), found)
+
+        monkeypatch.setattr(verify, "sigma_regular", partial)
+        for n in range(3, 11):
+            assert verify.kleppner_probe(n=n) is not None, n
+
+
+def test_semidirect_center_sees_a_wrong_is_central(monkeypatch):
+    # is_central always True, or blind to the free part
+    def braid_only(g):
+        return is_pure(g.braid) and is_inner_for_pure(g.braid) is not None
+
+    for mutant in (lambda g: True, braid_only):
+        monkeypatch.setattr(SemidirectElement, "is_central", property(mutant))
+        for n in range(2, 9):
+            assert verify.semidirect_center(n=n) is not None, n
+
+
+def test_a_check_that_raises_is_reported_as_failed(monkeypatch, capsys):
+    def broken(sigma, g):
+        raise IndexError("pop from empty list")
+
+    monkeypatch.setattr(verify, "sigma_regular", broken)
+    report = verify.run_verify("cocycle", 0, 4, False)
+    failed = {r["id"]: r["counterexample"] for r in report["checks"] if r["status"] == "fail"}
+    assert failed == {f"kleppner-probe.n{n}": "IndexError: pop from empty list" for n in (3, 4)}
+    assert report["summary"]["passed"] == report["summary"]["total"] - 2
+    capsys.readouterr()
+    assert main(["verify", "--suite", "cocycle", "--max-n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert '"status": "fail"' in out and "Traceback" not in err
+
+    def exhausted(sigma, g):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "sigma_regular", exhausted)
+    assert main(["verify", "--suite", "cocycle", "--max-n", "4"]) == 5
 
 
 def _drop_label(monkeypatch, label):
