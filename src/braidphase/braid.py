@@ -190,8 +190,6 @@ def pure_generator(i: int, j: int, n: int) -> BraidWord:
 
 def delta(n: int) -> BraidWord:
     """The half twist Delta = s1 (s2 s1) ... (s_{n-1} ... s1)."""
-    if n < 2:
-        raise ValueError("need at least 2 strands")
     letters = [(i, 1) for k in range(1, n) for i in range(k, 0, -1)]
     return BraidWord(n, tuple(letters))
 
@@ -420,8 +418,6 @@ class PureWord(_Word):
 
 def center_z_pure_word(n: int) -> PureWord:
     """z written in the a-alphabet: a12 (a13 a23) ... (a1n ... a_{n-1,n})."""
-    if n < 2:
-        raise ValueError("need at least 2 strands")
     return PureWord(n, tuple((pair, 1) for pair in _pairs(n)))
 
 

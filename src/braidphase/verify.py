@@ -18,7 +18,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .artin import apply_braid
 from .braid import (
@@ -268,25 +268,25 @@ def classification(rng: random.Random | None = None, *, n: int) -> str | None:
     return None
 
 
-def _unimodular_rank(rows: list[list[int]]) -> int | None:
-    """Rank of integer rows by elimination with +-1 pivots only, or None when
-    a step finds none.  Unit pivots make every Smith divisor 1, so the common
-    zeros of the rows in (R/Z)^m are a connected torus of dimension m - rank."""
-    rows, rank = [r for r in rows if any(r)], 0
+def _unimodular_rank(angles: Iterable[Angle]) -> int | None:
+    """Rank of the angles as integer forms in their symbols, by elimination
+    with +-1 pivots only, or None when a step finds none.  Unit pivots make
+    every Smith divisor 1, so the common zeros of the forms in (R/Z)^m are a
+    connected torus of dimension m - rank.  Rows are sparse, a zero counting
+    as absent; the pivot, the least unit symbol of the first row with one, is
+    cleared from the rows that hold it."""
+    rows, rank = [dict(a.syms) for a in angles if a.syms], 0
     while rows:
-        pivot = next(((r, j) for r in rows for j, a in enumerate(r) if a in (1, -1)), None)
-        if pivot is None:
+        p = next((r for r in rows if 1 in r.values() or -1 in r.values()), None)
+        if p is None:
             return None
-        p, j = pivot
-        rows = [[a - r[j] * p[j] * b for a, b in zip(r, p)] for r in rows if r is not p]
-        rows, rank = [r for r in rows if any(r)], rank + 1
+        j = min(m for m, a in p.items() if a in (1, -1))
+        for r in rows:
+            if r.get(j) and r is not p:
+                f = r[j] * p[j]
+                r.update({m: r.get(m, 0) - f * a for m, a in p.items()})
+        rows, rank = [r for r in rows if any(r.values()) and r is not p], rank + 1
     return rank
-
-
-def _symbolic_rank(angles: Sequence[Angle]) -> int | None:
-    """_unimodular_rank of the angles as integer forms in their symbols."""
-    names = sorted({name for a in angles for name, _ in a.syms})
-    return _unimodular_rank([[dict(a.syms).get(m, 0) for m in names] for a in angles])
 
 
 def _generic_cocycle(n: int) -> BraidOneCocycle:
@@ -303,34 +303,34 @@ def cocycle_extension(rng: random.Random | None = None, *, n: int) -> str | None
     accepts are a connected torus of dimension p, which the generic build
     table, accepted by both sides, fills.  The relation families must agree
     with extension on that table with one entry bumped, and with the bumps
-    only rel2 or only rel4 can tell."""
+    only rel2 or only rel4 can tell.  As the forms vanish on the generic
+    table and the bump is a fresh symbol, extension accepts a bumped table
+    exactly when every form's coefficients sum to 0 over the bumped cells."""
     pairs = [(u, v, FreeWord.generator(n, k)) for _, _, u, v in defining_relations(n)
              for k in range(1, n + 1)]
-
-    def extension_accepts(c: BraidOneCocycle) -> bool:
-        return all(extend(c, u, x) == extend(c, v, x) for u, v, x in pairs)
-
     t = BraidOneCocycle(n, tuple(
         tuple(Angle.symbol(f"t{i}_{j}") for j in range(1, n + 1)) for i in range(1, n)
     ))
-    rank = _symbolic_rank([extend(t, u, x) - extend(t, v, x) for u, v, x in pairs])
-    generic = _generic_cocycle(n)
-    p = _symbolic_rank(sum(generic.table, ()))
+    forms = list(dict.fromkeys(extend(t, u, x) - extend(t, v, x) for u, v, x in pairs))
+    rank, generic = _unimodular_rank(forms), _generic_cocycle(n)
+    p = _unimodular_rank(sum(generic.table, ()))
     if None in (rank, p) or rank + p != (n - 1) * n:
         return f"relation forms of rank {rank}, build table of rank {p} (None: no unit pivot)"
-    if not (extension_accepts(generic) and validate_braid_cocycle(generic).ok):
+    accepted = all(extend(generic, u, x) == extend(generic, v, x) for u, v, x in pairs)
+    if not (accepted and validate_braid_cocycle(generic).ok):
         return "the generic build table is not a cocycle"
     bumps = [[(i, j)] for i in range(1, n) for j in range(1, n + 1)]
     # phi(s_i, x_i) raised from row k on; column k raised above the band and
     # column k-2 below it
     bumps += [[(i, i) for i in range(k, n)] for k in range(2, n - 1)]
     bumps += [[(i, k if i <= k - 2 else k - 2) for i in range(1, n)] for k in range(3, n + 1)]
+    coefficients = [dict(f.syms) for f in forms]
     for cells in bumps:
         rows = [list(row) for row in generic.table]
         for i, j in cells:
             rows[i - 1][j - 1] += Angle.symbol("bump")
         c = BraidOneCocycle(n, tuple(tuple(row) for row in rows))
-        agrees = extension_accepts(c)
+        agrees = all(sum(f.get(f"t{i}_{j}", 0) for i, j in cells) == 0 for f in coefficients)
         if validate_braid_cocycle(c).ok != agrees:
             table = [[str(value) for value in row] for row in c.table]
             side = "accepts" if agrees else "rejects"
@@ -464,9 +464,9 @@ def coboundary(rng: random.Random | None = None, *, n: int) -> str | None:
         return "coboundary has nonzero parameters"
     if similar_braid_cocycles(h, build_braid_cocycle(n, Angle.zero())) is None:
         return "coboundary not recognized as similar to zero"
-    if (rank := _symbolic_rank(sum(h.table, ()))) != n - 1:
+    if (rank := _unimodular_rank(sum(h.table, ()))) != n - 1:
         return f"coboundary entries have rank {rank}, expected {n - 1}"
-    p = _symbolic_rank(sum(_generic_cocycle(n).table, ()))
+    p = _unimodular_rank(sum(_generic_cocycle(n).table, ()))
     if p is None or p - rank != sum(m is not None for m in (mu1, mu2)):
         return f"the classes form a torus of dimension {p} - {rank}, unlike (mu1, mu2)"
     return None

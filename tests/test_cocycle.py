@@ -15,6 +15,7 @@ from braidphase.braid import (
     PureWord,
     center_z,
     center_z_pure_word,
+    delta,
     parse_braid_word,
     parse_pure_word,
     pure_generator,
@@ -738,8 +739,12 @@ def test_is_central_by_the_inner_invariant():
             assert center_element(n, k).is_central, (n, k)
         for g in _noncentral_elements(n):
             assert not g.is_central, g
-    # F_1 x| B_1 = Z is abelian
-    assert SemidirectElement(FreeWord.generator(1, 1) ** 3, BraidWord.identity(1)).is_central
+    # F_1 x| B_1 = Z is abelian, and the full twist of one strand is the identity
+    assert center_z(1) == BraidWord.identity(1)
+    for k in range(-2, 3):
+        assert center_element(1, k).is_central, k
+    with pytest.raises(RankError):
+        delta(0)
 
 
 def test_sigma_regular_rejects_noncommuting_tests():

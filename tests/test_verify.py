@@ -12,7 +12,7 @@ from braidphase.braid import (
 from braidphase.cli import main
 from braidphase.cocycle import CocycleValidation, SemidirectElement, SigmaRegularReport
 from braidphase.freegroup import Character
-from braidphase.phase import Angle
+from braidphase.phase import Angle, parse_angle
 
 # Every check ``braidphase verify --max-n 6`` runs, with its suite.
 REGISTRY_AT_6 = [
@@ -273,9 +273,37 @@ def test_classification_sees_a_shifted_witness(monkeypatch):
         assert verify.classification(n=n) is not None, n
 
 
+def _dense_unimodular_rank(rows: list[list[int]]) -> int | None:
+    """The reference: elimination on dense integer rows, pivoting on the first
+    +-1 entry of the first row that has one."""
+    rows, rank = [r for r in rows if any(r)], 0
+    while rows:
+        pivot = next(((r, j) for r in rows for j, a in enumerate(r) if a in (1, -1)), None)
+        if pivot is None:
+            return None
+        p, j = pivot
+        rows = [[a - r[j] * p[j] * b for a, b in zip(r, p)] for r in rows if r is not p]
+        rows, rank = [r for r in rows if any(r)], rank + 1
+    return rank
+
+
 def test_unimodular_rank():
-    assert verify._unimodular_rank([[1, 2], [2, 3], [3, 5]]) == 2
-    assert verify._unimodular_rank([[0, 0], []]) == 0
+    def rank(*forms):
+        return verify._unimodular_rank([parse_angle(f) for f in forms])
+
+    assert rank("a + 2*b", "2*a + 3*b", "3*a + 5*b") == 2
+    assert rank("0*a + 0*b", "0") == 0
     # no +-1 pivot: no rank, rather than a guess over Q
-    assert verify._unimodular_rank([[2, 3]]) is None
-    assert verify._unimodular_rank([[2, 0], [0, 1]]) is None
+    assert rank("2*a + 3*b") is None
+    assert rank("2*a", "b") is None
+
+
+def test_unimodular_rank_matches_dense_elimination():
+    # column j is the symbol c{j}, so the sparse rows sort as the dense columns
+    rng = random.Random(0)
+    for _ in range(3000):
+        width = rng.randint(1, 5)
+        rows = [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in range(width)]
+                for _ in range(rng.randint(1, 5))]
+        angles = [Angle(0, ((f"c{j}", a) for j, a in enumerate(row))) for row in rows]
+        assert verify._unimodular_rank(angles) == _dense_unimodular_rank(rows), rows
