@@ -10,8 +10,10 @@
     * ``act`` of the first word of the seeded pair (n, L) on x1*...*xn, which
       every braid fixes;
     * ``act`` of u*v^-1, for the seeded equal pair (u, v) of (n, L/2), on a
-      seeded word of 6 letters, which this identity braid fixes; the word is
-      freely reduced on parsing, to about 0.8 L letters on average;
+      seeded word of 6 letters, which this identity braid fixes; v is u with
+      four relators put in, spelled a letter per token and inverted token by
+      token; u*v^-1 is freely reduced on parsing, where the stretch after the
+      last relator cancels, to about 0.8 L + 15 letters on average;
     * ``rewrite-pure`` of the first word of the seeded pair (n, L) closed up
       to a pure braid by a permutation braid; its output is checked by the
       two trees printing the same text;

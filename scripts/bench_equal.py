@@ -14,10 +14,12 @@
 ``python scripts/bench_equal.py --pair N L SEED``
     Prints the seeded equal pair for (N, L, SEED), one braid word per line.
 
-A pair is a random word of L letters, none next to its inverse, and the same
-word with four relators s_i s_{i+1} s_i s_{i+1}^-1 s_i^-1 s_{i+1}^-1 put in at
-seeded places, so both sides of every pair are equal and the whole of each
-word is compared.
+A pair is ``braid.random_equal_pair(N, L, random.Random("N:L:SEED"))``: a
+random word of L letters and the same word with four defining relators put
+in, so both sides of every pair are equal and the whole of each word is
+compared.  Each word is spelled one letter at a time, ``s<i>`` or
+``s<i>^-1`` and never a run such as ``s1^3``, so it can be inverted token by
+token.
 """
 
 from __future__ import annotations
@@ -75,16 +77,11 @@ METHOD = (
 
 
 def pair(n: int, length: int, seed: int) -> tuple[str, str]:
-    """The seeded equal pair, as braid word text."""
-    from braidphase.braid import random_reduced_word
+    """The seeded equal pair, as braid word text spelled letter by letter."""
+    from braidphase.braid import random_equal_pair
 
-    rng = random.Random(f"{n}:{length}:{seed}")
-    left = list(random_reduced_word(n, length, rng).units)
-    right = left.copy()
-    for _ in range(4):
-        i, cut = rng.randint(1, n - 2), rng.randint(0, len(right))
-        right[cut:cut] = [(i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)]
-    return tuple("*".join(f"s{i}" if e > 0 else f"s{i}^-1" for i, e in w) for w in (left, right))
+    words = random_equal_pair(n, length, random.Random(f"{n}:{length}:{seed}"))
+    return tuple("*".join(f"s{i}" if e > 0 else f"s{i}^-1" for i, e in w.units) for w in words)
 
 
 def cli_call(argv: list[str], expect: str | None):

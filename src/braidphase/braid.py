@@ -517,24 +517,19 @@ def p3_image(w: PureWord) -> tuple[FreeWord, int]:
 
     The direct factors are generated by v1 = a13, v2 = a23 (the free part)
     and the central full twist u, with a12 mapping to (v1 v2)^-1 u.  Returns
-    (free component, exponent of u).
+    (free component, exponent of u), built in one pass as one word.
     """
     if w.strands != 3:
         raise RankError("the direct-product splitting is for 3 strands")
-    v1 = FreeWord.generator(2, 1)
-    v2 = FreeWord.generator(2, 2)
-    a12_free = (v1 * v2).inverse()
-    free = FreeWord.identity(2)
+    runs: list[tuple[int, int]] = []
     central = 0
     for pair, exp in w.letters:
-        if pair == (1, 3):
-            free = free * (v1 ** exp)
-        elif pair == (2, 3):
-            free = free * (v2 ** exp)
-        else:  # (1, 2)
-            free = free * (a12_free ** exp)
+        if pair == (1, 2):  # (v1 v2)^-exp, one run per letter
+            runs += ((2, -1), (1, -1)) * exp if exp > 0 else ((1, 1), (2, 1)) * -exp
             central += exp
-    return free, central
+        else:  # a13 = v1, a23 = v2
+            runs.append((pair[0], exp))
+    return FreeWord(2, tuple(runs)), central
 
 
 # ---------------------------------------------------------------------------
@@ -577,35 +572,23 @@ def random_pure_braid_word(strands: int, length: int, rng: random.Random) -> Bra
 
 
 def random_equal_pair(
-    strands: int, max_length: int, rng: random.Random
+    strands: int, length: int, rng: random.Random
 ) -> tuple[BraidWord, BraidWord]:
-    """Two words equal in the group, produced by relation-preserving rewrites."""
-    u = random_braid_word(strands, rng.randint(0, max(1, max_length - 8)), rng)
+    """Two words equal in the group: a random word of exactly ``length``
+    letters, none next to its inverse, and that word with four defining
+    relators put in at seeded cuts, each relator or its inverse.  A relator is
+    s_i s_j s_i s_j^-1 s_i^-1 s_j^-1 for j = i + 1 or s_i s_j s_i^-1 s_j^-1
+    for j >= i + 2, drawn in O(1) whatever the strand count; the kernel of the
+    free group onto B_n is their normal closure (Artin 1925; Birman 1974,
+    ch. 1).  B_2 has no relator, so its two words are the same."""
+    u = random_reduced_word(strands, length, rng)
     letters = list(u.units)
-    for _ in range(8):
-        op = rng.randrange(3)
-        if op == 0 and len(letters) + 2 <= max_length:
-            pos = rng.randint(0, len(letters))
-            i = rng.randint(1, strands - 1)
-            sign = rng.choice((1, -1))
-            letters[pos:pos] = [(i, sign), (i, -sign)]
-        elif op == 1:
-            spots = [
-                t
-                for t in range(len(letters) - 1)
-                if abs(letters[t][0] - letters[t + 1][0]) >= 2
-            ]
-            if spots:
-                t = rng.choice(spots)
-                letters[t], letters[t + 1] = letters[t + 1], letters[t]
-        else:
-            spots = []
-            for t in range(len(letters) - 2):
-                (i1, e1), (i2, e2), (i3, e3) = letters[t : t + 3]
-                if e1 == e2 == e3 and i1 == i3 and abs(i1 - i2) == 1:
-                    spots.append(t)
-            if spots:
-                t = rng.choice(spots)
-                (i1, e), (i2, _), _ = letters[t : t + 3]
-                letters[t : t + 3] = [(i2, e), (i1, e), (i2, e)]
+    for _ in range(4 if strands > 2 else 0):
+        i = rng.randint(1, strands - 2)
+        j = rng.randint(i + 1, strands - 1)
+        relator = [(i, 1), (j, 1)] + [(i, 1), (j, -1)] * (j == i + 1) + [(i, -1), (j, -1)]
+        if rng.random() < 0.5:
+            relator = [(k, -e) for k, e in reversed(relator)]
+        cut = rng.randint(0, len(letters))
+        letters[cut:cut] = relator
     return u, BraidWord(strands, tuple(letters))

@@ -172,7 +172,7 @@ def parse_angle(text: str) -> Angle:
     """Parse expressions like ``1/3 + 2*th1`` or ``-th2`` into an Angle."""
     s = text.replace(" ", "")
     tokens = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(tokens) != s:
+    if not tokens or "".join(tokens) != s:  # an angle has at least one term
         raise ParseError(f"cannot parse angle {text!r}")
     q, syms = Fraction(0), []
     for token in tokens:

@@ -231,7 +231,7 @@ def test_bench_equal_pair_golden(capsys):
     path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"
     assert runpy.run_path(str(path))["main"](["--pair", "12", "10240", "0"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "20fb2b74f18c8eb4d0902a3aba9b3d583340590bb0039029e9e08c0aa0ee9dec"
+    assert digest == "7ed9fc36da5edba3ea7cec3ce9a41554478e5871b7772b4d990b148495cd82eb"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
@@ -607,6 +607,17 @@ def test_verdict_malformed_entries(tmp_path, capsys, family, doc):
     path.write_text(json.dumps(doc))
     assert main(["verdict", "--cocycle", str(path), "--family", family]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_empty_angle_text_is_a_parse_error(tmp_path, capsys):
+    # an angle has at least one term: an empty --diag part or entry is not 0
+    code = main(["cocycle-build", "--n", "3", "--mu1", "1/3", "--diag", "1/5,"])
+    assert code == 2 and capsys.readouterr().err.startswith("parse error:")
+    for text in ("", "  "):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"n": 2, "entries": [["s1", "x1", "1/3"], ["s1", "x2", text]]}))
+        assert main(["verdict", "--cocycle", str(path), "--family", "bn"]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_verdict_table_with_too_few_strands(tmp_path, capsys):

@@ -146,6 +146,9 @@ def test_parse_examples():
         parse_angle("th1*2")
     with pytest.raises(ParseError):
         parse_angle("1/0")
+    for text in ("", "  "):  # an angle has at least one term; empty text is not 0
+        with pytest.raises(ParseError, match="cannot parse angle"):
+            parse_angle(text)
     # integers are ASCII decimal digits only: no underscores, no other scripts
     for text in ("1_0/3", "1/3_3", "1_0", "3_3*th1", "1/00", "\u0661/\u0663", "\u0663*th1"):
         with pytest.raises(ParseError, match="bad term"):

@@ -61,6 +61,11 @@ REGISTRY_AT_6 = [
     ("inner-witness.n4", "braid"),
     ("inner-witness.n5", "braid"),
     ("inner-witness.n6", "braid"),
+    ("kernel-action.n2", "braid"),
+    ("kernel-action.n3", "braid"),
+    ("kernel-action.n4", "braid"),
+    ("kernel-action.n5", "braid"),
+    ("kernel-action.n6", "braid"),
     ("kleppner-probe.n3", "cocycle"),
     ("kleppner-probe.n4", "cocycle"),
     ("kleppner-probe.n5", "cocycle"),
@@ -110,7 +115,7 @@ def test_verify_registry_ids():
 # and counterexample, and the summary: a change of id, suite or citation moves
 # it, and new seeded inputs move it only when they change a status or a
 # counterexample (null while the check passes).
-VERIFY_REPORT_SHA256 = "8b7c9208114efe08cabaa0324558df9a2004c598e8e28349de7613d89384515d"
+VERIFY_REPORT_SHA256 = "e4fbdc3b6820b8dc9057d381df7f8503f1c7508616c01ba724354119f26a9703"
 
 
 def test_verify_report_golden(capsys):
