@@ -287,7 +287,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pair", nargs=3, type=int, metavar=("N", "L", "SEED"))
     args = parser.parse_args(argv)
     if args.pair:
-        print("\n".join(pair(*args.pair)))
+        try:
+            print("\n".join(pair(*args.pair)))
+            sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        except BrokenPipeError:  # the reader wanted only the first lines
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # the final flush goes nowhere
+            os.close(devnull)
         return 0
     return run_scaling(parser, args, "braidphase equal --group bn wall time per call, median "
                        "of 3 seeded equal pairs, ms",

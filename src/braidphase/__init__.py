@@ -2,8 +2,9 @@
 cocycle deformations, with machine-checkable identities throughout.
 
 The modules are layers, each importing only the ones before it:
-:mod:`~braidphase.phase` (circle values, written additively) and
-:mod:`~braidphase.errors`, then :mod:`~braidphase.freegroup`,
+:mod:`~braidphase.errors` (the exception types and the frozen-record base of
+every value type), :mod:`~braidphase.phase` (circle values, written
+additively), then :mod:`~braidphase.freegroup`,
 :mod:`~braidphase.artin` (the action ``B_n -> Aut F_n``),
 :mod:`~braidphase.braid` (the word problem and pure braids) and
 :mod:`~braidphase.cocycle`.  A public name is declared once, in its layer's

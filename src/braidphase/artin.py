@@ -28,26 +28,20 @@ as the one run ``s1^2`` and wraps the word in ``c^-1 ... c`` in one step.
 The action is faithful; ``oracle-agreement`` checks it against Garside
 forms.  Braid equality is decided by Dynnikov coordinates
 (:func:`braid.equal`), and so is which pure braids act by inner
-automorphisms (:func:`braid.is_inner_for_pure`).  This module imports
-:mod:`braidphase.braid` only for annotations: the braid layer sits above it.
+automorphisms (:func:`braid.is_inner_for_pure`).  This module names
+``braid.BraidWord`` only in annotations, which stay unevaluated strings: the
+braid layer sits above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from .errors import RankError
+from .errors import RankError, _Record
 from .freegroup import FreeWord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .braid import BraidWord
 
 __all__ = ["FreeAutomorphism", "apply_braid"]
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
+class FreeAutomorphism(_Record):
     """An automorphism of F_n recorded by the images of the generators."""
 
     rank: int

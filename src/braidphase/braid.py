@@ -32,12 +32,11 @@ form of ``P_n``).  Where only the abelianization of ``P_n`` matters,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
 from . import artin
-from .errors import ParseError, RankError
+from .errors import ParseError, RankError, _Record, _set
 from .freegroup import FreeWord, _parse_word, _reduce, _Word
 
 __all__ = [
@@ -69,14 +68,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A permutation of {1, ..., n}; image[i-1] is the image of i.
 
     Multiplication is composition of functions: (p * q)(i) = p(q(i)).
     """
 
     image: tuple[int, ...]
+
+    def __init__(self, image: tuple[int, ...]) -> None:  # Garside builds many
+        _set(self, "image", image)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.image)
@@ -125,7 +127,6 @@ class Permutation:
 MAX_BRAID_LETTERS = 1_000_000
 
 
-@dataclass(frozen=True, repr=False)
 class BraidWord(_Word):
     """A freely reduced word in the braid generators on ``strands`` strands.
 
@@ -280,8 +281,7 @@ def embed(b: BraidWord, strands: int) -> BraidWord:
 # Garside left normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GarsideForm:
+class GarsideForm(_Record):
     """Left normal form Delta^power A_1 ... A_k.
 
     Factors are permutation braids recorded by their permutations, none of
@@ -389,7 +389,6 @@ def _pair_index(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + i - 1
 
 
-@dataclass(frozen=True, repr=False)
 class PureWord(_Word):
     """A word in the pure-braid generators a_{i,j}, 1 <= i < j <= strands."""
 

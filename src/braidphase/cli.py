@@ -20,7 +20,8 @@ read or written: missing, a directory, or not UTF-8), 3 rank or strand
 mismatch (including a non-positive strand count, an impure ``rewrite-pure``
 word and ``verify --max-n`` below 2), 4 missing external cocycle data, 5 out
 of memory (a short input such as ``equal --group bn --n 1000000000 s1 s1``
-can ask for more than the process may allocate).
+can ask for more than the process may allocate).  A reader that closes
+standard output early, such as ``head``, ends the call quietly with exit 0.
 
 The checks ``verify`` runs live in :mod:`braidphase.verify`; this module
 only parses arguments and formats output.  The ``verify`` report is
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .artin import apply_braid
@@ -239,7 +241,14 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader stopped early: nothing is wrong with the call
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the interpreter's final flush goes here
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import artin
 from .braid import (
@@ -54,7 +53,7 @@ from .braid import (
     is_pure,
     linking_numbers,
 )
-from .errors import MissingOmegaError, ParseError, RankError
+from .errors import MissingOmegaError, ParseError, RankError, _Record
 from .freegroup import Character, FreeWord, _parse_token
 from .phase import Angle, parse_angle
 
@@ -101,11 +100,10 @@ CIT_MACKEY_IFF_RANK3 = "prop:pure-tower-mackey-iff-rank3"
 # Braid-group 1-cocycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidOneCocycle:
+class BraidOneCocycle(_Record):
     """Table phi(s_i, x_j): row i-1, column j-1; shape (n-1) x n.
 
-    The dataclass stores any shape-correct table so that the validator can
+    The record stores any shape-correct table so that the validator can
     report on broken ones; tables produced by :func:`build_braid_cocycle`
     satisfy the relation families by construction.
     """
@@ -149,8 +147,7 @@ def build_braid_cocycle(
     return BraidOneCocycle(n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class CocycleValidation:
+class CocycleValidation(_Record):
     """Validator outcome: the relation-family instances the table violates."""
 
     ok: bool
@@ -277,8 +274,7 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
 # Pure-braid 1-cocycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PureOneCocycle:
+class PureOneCocycle(_Record):
     """Table phi(a_{i,j}, x_k) for 1 <= i < j <= n, 1 <= k <= n.
 
     Every shape-correct table is a cocycle: pure braids act trivially on
@@ -369,8 +365,7 @@ def restrict_to_pure(c: BraidOneCocycle) -> PureOneCocycle:
 # Semidirect-product elements and induced 2-cocycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SemidirectElement:
+class SemidirectElement(_Record):
     """An element (x, a) of F_n x| B_n with (x,a)(y,b) = (x * a.y, ab).
 
     Equality is componentwise: reduced words on the free side, the braid
@@ -435,8 +430,7 @@ def center_element(n: int, k: int = 1) -> SemidirectElement:
     return SemidirectElement(prod ** k, center_z(n) ** k)
 
 
-@dataclass(frozen=True)
-class TwoCocycleSigmaPhi:
+class TwoCocycleSigmaPhi(_Record):
     """The normalized 2-cocycle sigma((x,a),(y,b)) = phi(a, y).
 
     The underlying 1-cocycle may live on the braid group (elements of
@@ -462,8 +456,7 @@ class TwoCocycleSigmaPhi:
         return extend_pure(self.cocycle, abelian, g2.free)
 
 
-@dataclass(frozen=True)
-class SigmaRegularReport:
+class SigmaRegularReport(_Record):
     """Discrepancies sigma(g, h) - sigma(h, g) of a central g at the
     generators h = x1..xn, s1..s_{n-1}, in that order; ``regular`` (every
     discrepancy zero) decides whether g is sigma-regular."""
@@ -495,8 +488,7 @@ def sigma_regular(sigma: TwoCocycleSigmaPhi, g: SemidirectElement) -> SigmaRegul
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of a simplicity / unique-trace / factor criterion.
 
     ``verdict`` is one of SimpleAndUniqueTrace, GuaranteedSimpleAndUniqueTrace,
@@ -508,7 +500,7 @@ class Verdict:
     n: int
     verdict: str
     citation: str
-    details: dict[str, str] = field(default_factory=dict)
+    details: dict[str, str]
 
     def to_json(self) -> dict:
         return {

@@ -19,10 +19,9 @@ because roots in a free group are unique.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .errors import ParseError, RankError
+from .errors import ParseError, RankError, _Record, _set
 from .phase import Angle
 
 __all__ = ["FreeWord", "Character", "parse_free_word"]
@@ -41,10 +40,15 @@ def _reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(stack)
 
 
-class _Word:
-    """What the three word types share.  A subclass is a frozen dataclass,
-    declared with ``repr=False``, whose fields are its size and ``letters``;
-    it names its alphabet letter in ``_letter`` and its size field in ``_size``."""
+class _Word(_Record):
+    """What the three word types share.  A subclass is a frozen record whose
+    fields are its size and ``letters``; it names its alphabet letter in
+    ``_letter`` and its size field in ``_size``."""
+
+    def __init__(self, size: int, letters=()) -> None:
+        _set(self, self._size, size)
+        _set(self, "letters", letters)
+        self.__post_init__()
 
     @classmethod
     def identity(cls, size: int):
@@ -78,7 +82,6 @@ class _Word:
         return f"{type(self).__name__}({getattr(self, self._size)}, {str(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class FreeWord(_Word):
     """A reduced word in the free group of the given rank."""
 
@@ -161,8 +164,7 @@ def parse_free_word(text: str, rank: int) -> FreeWord:
     return FreeWord(rank, _parse_word(text, "x"))
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Record):
     """A homomorphism from the free group to the circle, given on generators."""
 
     rank: int

@@ -21,11 +21,10 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, _Record
 
 __all__ = ["Angle", "parse_angle"]
 
@@ -34,8 +33,7 @@ _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TERM_RE = re.compile(rf"(?:([0-9]+)\*)?({_SYMBOL_RE.pattern})|([0-9]+)(?:/([0-9]+))?")
 
 
-@dataclass(frozen=True, init=False)
-class Angle:
+class Angle(_Record):
     """A circle-group element ``num/den + sum_k c_k * th_k  (mod 1)``.
 
     ``num/den`` is reduced with ``0 <= num < den`` and ``syms`` is sorted with
@@ -45,7 +43,6 @@ class Angle:
     inexact part raises TypeError, as does a coefficient that is not an integer.
     """
 
-    # declared here: slots=True would build a second class and leave this one alive
     __slots__ = ("num", "den", "syms")
     num: int
     den: int
@@ -61,6 +58,14 @@ class Angle:
         # names are checked by symbol and parse_angle
         syms = _merged((n, operator.index(c)) for n, c in self.syms)
         _init(self, self.num % self.den, self.den, syms)
+
+    def __eq__(self, other):  # hot in the cocycle layer: no shared field getter
+        if other.__class__ is self.__class__:
+            return (self.num, self.den, self.syms) == (other.num, other.den, other.syms)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den, self.syms))
 
     def __reduce__(self):  # copy and pickle: slots of a frozen class cannot be set
         return Angle, (self.frac, self.syms)

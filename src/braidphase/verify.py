@@ -17,8 +17,7 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .artin import apply_braid
 from .braid import (
@@ -60,7 +59,7 @@ from .cocycle import (
     similar_braid_cocycles,
     validate_braid_cocycle,
 )
-from .errors import RankError
+from .errors import RankError, _Record
 from .freegroup import Character, FreeWord
 from .phase import Angle
 
@@ -514,8 +513,7 @@ def center_embedding(rng: random.Random | None = None, *, m: int, n: int) -> str
 # Registry and runner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     id: str
     suite: str
     citation: str

@@ -191,6 +191,27 @@ def test_out_of_memory_under_address_space_limit():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["-m", "braidphase", "act", "--n", "3", "s1^100000", "x1"],
+    ["-m", "braidphase", "normalize", "--group", "bn", "--n", "3", "s1^100000"],
+    [str(pathlib.Path(__file__).parent.parent / "scripts" / "bench_equal.py"),
+     "--pair", "12", "10240", "0"],
+], ids=["act", "normalize", "bench-equal-pair"])
+def test_closed_stdout_pipe_ends_quietly(argv):
+    # The reader closes after one byte, as `| head -c 1` does.  Each output is
+    # larger than a pipe's buffer, so the writer meets the closed pipe; it must
+    # exit 0 with nothing on stderr, also after the interpreter's final flush.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_equal(capsys):
     code, out = run_cli(capsys, "equal", "--group", "bn", "--n", "3", "s1*s2*s1", "s2*s1*s2")
     assert code == 0 and out.strip() == "true"

@@ -18,25 +18,10 @@ ORDER = ["errors", "phase", "freegroup", "artin", "braid", "cocycle", "verify", 
 LAYERS = ["phase", "errors", "freegroup", "artin", "braid", "cocycle"]
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
-
-
 def _runtime_imports(tree: ast.Module):
-    """The package modules a module imports when it runs, function bodies
-    included; imports under ``if TYPE_CHECKING:`` serve annotations only."""
-    exempt = {
-        id(node)
-        for block in ast.walk(tree)
-        if isinstance(block, ast.If) and _is_type_checking(block.test)
-        for stmt in block.body
-        for node in ast.walk(stmt)
-    }
+    """The package modules a module imports, function bodies included; an
+    annotation needs no import, since annotations stay unevaluated strings."""
     for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:  # from . import a, b
                 yield from (alias.name for alias in node.names)
@@ -75,14 +60,27 @@ def test_package_all_is_the_union_of_the_layers():
 
 
 def test_package_import_leaves_verify_and_cli_unloaded():
-    script = "import json, sys, braidphase; print(json.dumps(sorted(sys.modules)))"
+    # Each CLI call pays for what importing braidphase.cli loads: the records
+    # are built without dataclasses (which loads inspect), and annotations are
+    # never evaluated, so typing stays out.  site may load some of these
+    # first, so only the modules the import adds count.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import braidphase\n"
+        "package = sorted(sys.modules)\n"
+        "import braidphase.cli\n"
+        "print(json.dumps([package, sorted(set(sys.modules) - before)]))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), *sys.path])}
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    loaded = json.loads(out.stdout)
+    loaded, added = json.loads(out.stdout)
     assert "braidphase.phase" in loaded
     assert "braidphase.verify" not in loaded and "braidphase.cli" not in loaded
+    assert "braidphase.cli" in added
+    assert not {"dataclasses", "typing", "inspect"} & set(added), added
 
 
 def test_tracer_patches_only_methods_the_classes_define():
