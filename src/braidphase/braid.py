@@ -215,6 +215,11 @@ def center_z(n: int) -> BraidWord:
     return delta(n) * delta(n)
 
 
+def _full_word(n: int) -> FreeWord:
+    """x1 * x2 * ... * xn, the word z conjugates by and every braid fixes."""
+    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
+
+
 def dynnikov(b: BraidWord) -> tuple[int, ...]:
     """Dynnikov coordinates: the vector of Z^{2n} that the letters of ``b``,
     read left to right, make of (0,1, 0,1, ..., 0,1).  The start vector has
@@ -267,7 +272,7 @@ def is_inner_for_pure(b: BraidWord) -> FreeWord | None:
     k, rest = divmod(sum(e for _, e in b.letters), n * (n - 1))
     if rest or not equal(b, center_z(n) ** k):
         return None
-    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1))) ** k
+    return _full_word(n) ** k
 
 
 def embed(b: BraidWord, strands: int) -> BraidWord:

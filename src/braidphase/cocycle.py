@@ -38,13 +38,13 @@ verdicts ``SimpleAndUniqueTrace``, ``GuaranteedSimpleAndUniqueTrace``,
 from __future__ import annotations
 
 import functools
-import random
 from collections.abc import Mapping, Sequence
 
 from . import artin
 from .braid import (
     BraidWord,
     PureWord,
+    _full_word,
     _pair_index,
     _pairs,
     center_z,
@@ -79,22 +79,9 @@ __all__ = [
     "sigma_regular",
     "center_element",
     "evaluate_conditions",
-    "random_braid_cocycle",
     "cocycle_to_json",
     "cocycle_from_json",
 ]
-
-# Criterion identifiers used in verdicts and reports.  Each names the exact
-# algebraic criterion the verdict relies on; the statements live in the
-# docstring of evaluate_conditions below.
-CIT_BRAID_IFF = "thm:braid-deformation-iff"
-CIT_PURE_SUFFICIENT = "thm:pure-deformation-sufficient"
-CIT_PURE_IFF_RANK2 = "thm:pure-deformation-iff-rank2"
-CIT_PURE_KLEPPNER = "lem:pure-kleppner-criterion"
-CIT_ANNULAR_IFF = "prop:annular-kleppner-iff"
-CIT_MACKEY = "prop:pure-tower-mackey"
-CIT_MACKEY_IFF_RANK3 = "prop:pure-tower-mackey-iff-rank3"
-
 
 # ---------------------------------------------------------------------------
 # Braid-group 1-cocycles
@@ -248,7 +235,10 @@ def similar_braid_cocycles(c1: BraidOneCocycle, c2: BraidOneCocycle) -> Characte
     Two valid cocycles are similar exactly when their (mu1, mu2) parameters
     agree; the witness is produced by the recurrence f(x_1) = 0,
     f(x_{i+1}) = f(x_i) + (c1 - c2)(s_i, x_i) and verified before returning.
-    A table that is not a braid table raises :class:`ParseError`.
+    A table that is not a braid table raises :class:`ParseError`.  Both tables
+    must pass :func:`validate_braid_cocycle`, which is not checked here (the
+    tables of :func:`cocycle_from_json` and :func:`build_braid_cocycle` do): an
+    invalid table may get a witness, even one equal to itself.
     """
     if not isinstance(c1, BraidOneCocycle) or not isinstance(c2, BraidOneCocycle):
         raise ParseError("classification expects braid cocycle tables")
@@ -426,8 +416,7 @@ class SemidirectElement(_Record):
 
 def center_element(n: int, k: int = 1) -> SemidirectElement:
     """((x1...xn)^k, z^k), the k-th power of the central generator."""
-    prod = FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
-    return SemidirectElement(prod ** k, center_z(n) ** k)
+    return SemidirectElement(_full_word(n) ** k, center_z(n) ** k)
 
 
 class TwoCocycleSigmaPhi(_Record):
@@ -514,12 +503,14 @@ class Verdict(_Record):
 
 # What sets the families apart: a braid family's citation, and a pure family's
 # iff rank, its citations at that rank, above it and for Kleppner's condition,
-# and its row-sum key.
-_BRAID_FAMILIES = {"bn": CIT_BRAID_IFF, "an": CIT_ANNULAR_IFF}
+# and its row-sum key.  A citation names the criterion a verdict relies on; the
+# statements are in the docstring of evaluate_conditions.
+_BRAID_FAMILIES = {"bn": "thm:braid-deformation-iff", "an": "prop:annular-kleppner-iff"}
 _PURE_FAMILIES = {
-    "pn": (2, CIT_PURE_IFF_RANK2, CIT_PURE_SUFFICIENT, CIT_PURE_KLEPPNER,
-           "phi(a({i},{j}),x1..x{n})"),
-    "mackey": (3, CIT_MACKEY_IFF_RANK3, CIT_MACKEY, CIT_MACKEY, "condition-iv(a({i},{j}))"),
+    "pn": (2, "thm:pure-deformation-iff-rank2", "thm:pure-deformation-sufficient",
+           "lem:pure-kleppner-criterion", "phi(a({i},{j}),x1..x{n})"),
+    "mackey": (3, "prop:pure-tower-mackey-iff-rank3", "prop:pure-tower-mackey",
+               "prop:pure-tower-mackey", "condition-iv(a({i},{j}))"),
 }
 
 
@@ -532,7 +523,10 @@ def evaluate_conditions(
 
     ``bn`` and ``an`` read a braid table: the deformed crossed products are
     simple with a unique trace, and the weak closure is a factor, exactly
-    when the total phase mu is nontorsion.  For the annular braid group (one
+    when the total phase mu is nontorsion.  The table must pass
+    :func:`validate_braid_cocycle`, which is not checked here (the tables of
+    :func:`cocycle_from_json` and :func:`build_braid_cocycle` do); an invalid
+    one gets a verdict by its mu all the same.  For the annular braid group (one
     strand more) twisted C*-simplicity, the unique trace property and
     Kleppner's condition are all equivalent; an external 2-cocycle component
     cannot interfere, since central elements are regular for any 2-cocycle
@@ -569,7 +563,8 @@ def evaluate_conditions(
     if family == "mackey" and omega is None:
         raise MissingOmegaError("the mackey family needs omega values")
     if family == "mackey" and n == 2:  # z = a(1,2), so the two keys name one pair
-        keys = [k for k in (("a(1,2)", "z"), ("z", "a(1,2)")) if k in omega]
+        a = _label((1, 2))
+        keys = [k for k in ((a, "z"), ("z", a)) if k in omega]
         if len(keys) == 2 and omega[keys[0]] != omega[keys[1]]:
             raise ParseError(f"omega values for {keys[0]} and {keys[1]} differ, but z = a(1,2)")
     iff_rank, cit_iff, cit_sufficient, cit_kleppner, key = _PURE_FAMILIES[family]
@@ -585,7 +580,7 @@ def evaluate_conditions(
     for (i, j), row in zip(_pairs(n), table.rows):
         total = Angle.combination((1, v) for v in row)
         if family == "mackey":
-            a = f"a({i},{j})"
+            a = _label((i, j))
             missing = next((k for k in ((a, "z"), ("z", a)) if k not in omega), None)
             if missing:
                 raise MissingOmegaError(f"omega value for {missing} not supplied")
@@ -606,28 +601,8 @@ def evaluate_conditions(
 
 
 # ---------------------------------------------------------------------------
-# Seeded generation and JSON serialization
+# JSON serialization
 # ---------------------------------------------------------------------------
-
-def random_angle(rng: random.Random, symbols: Sequence[str] = ("th1", "th2")) -> Angle:
-    """A small random angle mixing rationals and symbol multiples."""
-    out = Angle.rational(rng.randint(0, 7), rng.choice((1, 2, 3, 4, 6, 8)))
-    for name in symbols:
-        if rng.random() < 0.35:
-            out = out + Angle.symbol(name, rng.randint(-2, 2))
-    return out
-
-
-def random_braid_cocycle(
-    n: int, rng: random.Random, symbols: Sequence[str] = ("th1", "th2")
-) -> BraidOneCocycle:
-    return build_braid_cocycle(
-        n,
-        mu1=random_angle(rng, symbols),
-        mu2=random_angle(rng, symbols),
-        diag=[random_angle(rng, symbols) for _ in range(n - 1)],
-    )
-
 
 # Entries a cocycle document's table may hold, (n-1)*n for a braid table and
 # n*n(n-1)/2 for a pure one; past it cocycle_from_json and cocycle-build raise
@@ -646,22 +621,23 @@ def _check_entry_cap(n: int, pure: bool) -> None:
         raise ParseError(f"cocycle table of {size} entries, past the cap of {MAX_COCYCLE_ENTRIES}")
 
 
+def _label(index: int | tuple[int, int]) -> str:
+    """A generator's label in a document: s<i> for i, a(i,j) for (i, j)."""
+    return f"s{index}" if isinstance(index, int) else "a({},{})".format(*index)
+
+
 def cocycle_to_json(c: BraidOneCocycle | PureOneCocycle) -> dict:
     """Serialize a cocycle table to {"n": ..., "entries": [[gen, x, angle]]}."""
-    entries: list[list[str]] = []
-    if isinstance(c, BraidOneCocycle):
-        for i in range(1, c.n):
-            for j in range(1, c.n + 1):
-                entries.append([f"s{i}", f"x{j}", str(c.entry(i, j))])
-    else:
-        for i, j in _pairs(c.n):
-            for k in range(1, c.n + 1):
-                entries.append([f"a({i},{j})", f"x{k}", str(c.entry(i, j, k))])
+    keys, rows = ((range(1, c.n), c.table) if isinstance(c, BraidOneCocycle)
+                  else (_pairs(c.n), c.rows))
+    entries = [[_label(key), f"x{k}", str(value)]
+               for key, row in zip(keys, rows) for k, value in enumerate(row, start=1)]
     return {"n": c.n, "entries": entries}
 
 
 def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
-    """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels.
+    """Inverse of :func:`cocycle_to_json`; the flavor is read off the labels,
+    and a document without entries is a pure table of zeros.
     ``n`` must be a JSON integer and no (generator, x_k) entry may repeat.
     A braid table must pass :func:`validate_braid_cocycle`, and no table may
     hold more than :data:`MAX_COCYCLE_ENTRIES` entries."""
@@ -672,8 +648,7 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
         raise ParseError("cocycle document needs 'n' and 'entries'") from exc
     if type(n) is not int:  # not 3.9, "3" or true
         raise ParseError(f"cocycle document's 'n' must be an integer, got {n!r}")
-    braid_rows: dict[int, dict[int, Angle]] = {}
-    pure_rows: dict[tuple[int, int], dict[int, Angle]] = {}
+    rows: dict[int | tuple[int, int], dict[int, Angle]] = {}  # by s_i's i or a(i,j)'s (i, j)
     parse = functools.cache(parse_angle)  # once per text: equal entries share one Angle
     for item in raw_entries:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
@@ -683,38 +658,29 @@ def cocycle_from_json(doc: Mapping) -> BraidOneCocycle | PureOneCocycle:
         if not 1 <= k <= n:
             raise ParseError(f"free generator x{k} out of range")
         value = parse(str(item[2]))
-        if isinstance(index, int):
-            if not 1 <= index <= n - 1:
-                raise ParseError(f"braid generator s{index} out of range")
-            label, row = f"s{index}", braid_rows.setdefault(index, {})
-        else:
-            i, j = index
-            if not 1 <= i < j <= n:
-                raise ParseError(f"pure generator a({i},{j}) out of range")
-            label, row = f"a({i},{j})", pure_rows.setdefault(index, {})
+        braid = isinstance(index, int)
+        if not (1 <= index <= n - 1 if braid else 1 <= index[0] < index[1] <= n):
+            kind = "braid" if braid else "pure"
+            raise ParseError(f"{kind} generator {_label(index)} out of range")
+        row = rows.setdefault(index, {})
         if k in row:
-            raise ParseError(f"repeated entry for {label}, x{k}")
+            raise ParseError(f"repeated entry for {_label(index)}, x{k}")
         row[k] = value
-    if braid_rows and pure_rows:
+    kinds = {type(index) for index in rows}
+    if len(kinds) > 1:
         raise ParseError("document mixes braid and pure generator labels")
-    _check_entry_cap(n, pure=not braid_rows)
+    pure = int not in kinds
+    _check_entry_cap(n, pure)
     zero = Angle.zero()  # shared, so that validation compares missing entries by identity
-    if braid_rows:
-        rows = []
-        for i in range(1, n):
-            row = braid_rows.get(i, {})
-            rows.append(tuple(row.get(k, zero) for k in range(1, n + 1)))
-        table = BraidOneCocycle(n, tuple(rows))
-        report = validate_braid_cocycle(table)
-        if not report.ok:
-            failed = ", ".join(report.relation_violations)
-            raise ParseError(f"braid table is not a cocycle: {failed}")
-        return table
-    rows = []
-    for pair in _pairs(n):
-        row = pure_rows.get(pair, {})
-        rows.append(tuple(row.get(k, zero) for k in range(1, n + 1)))
-    return PureOneCocycle(n, tuple(rows))
+    table = tuple(tuple(rows.get(key, {}).get(k, zero) for k in range(1, n + 1))
+                  for key in (_pairs(n) if pure else range(1, n)))
+    if pure:
+        return PureOneCocycle(n, table)
+    c = BraidOneCocycle(n, table)
+    report = validate_braid_cocycle(c)
+    if not report.ok:
+        raise ParseError(f"braid table is not a cocycle: {', '.join(report.relation_violations)}")
+    return c
 
 
 def omega_from_json(doc: Mapping, n: int) -> dict[tuple[str, str], Angle]:
@@ -733,7 +699,7 @@ def omega_from_json(doc: Mapping, n: int) -> dict[tuple[str, str], Angle]:
                 (i, j), _ = _parse_token(label, "a", power=False)
                 if not 1 <= i < j <= n:
                     raise ParseError(f"bad omega label {label!r}")
-                labels[pos] = f"a({i},{j})"
+                labels[pos] = _label((i, j))
         key = tuple(labels)
         if key in values:
             raise ParseError(f"repeated omega entry for {key[0]}, {key[1]}")

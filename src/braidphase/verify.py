@@ -23,6 +23,7 @@ from .artin import apply_braid
 from .braid import (
     BraidWord,
     PureWord,
+    _full_word,
     _pairs,
     center_z,
     center_z_pure_word,
@@ -64,10 +65,6 @@ from .freegroup import Character, FreeWord
 from .phase import Angle
 
 __all__ = ["Check", "REGISTRY", "build_checks", "run_verify"]
-
-
-def _full_word(n: int) -> FreeWord:
-    return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
 
 
 def _acts_alike(a: BraidWord, b: BraidWord) -> bool:

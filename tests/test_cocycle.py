@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,6 @@ from braidphase.cocycle import (
     mu_params,
     mu_phi,
     nu,
-    random_angle,
-    random_braid_cocycle,
     restrict_to_pure,
     sigma_regular,
     similar_braid_cocycles,
@@ -55,6 +54,26 @@ TH1 = Angle.symbol("th1")
 
 def full_word(n: int) -> FreeWord:
     return FreeWord(n, tuple((i, 1) for i in range(1, n + 1)))
+
+
+def random_angle(rng: random.Random, symbols: Sequence[str] = ("th1", "th2")) -> Angle:
+    """A small random angle mixing rationals and symbol multiples."""
+    out = Angle.rational(rng.randint(0, 7), rng.choice((1, 2, 3, 4, 6, 8)))
+    for name in symbols:
+        if rng.random() < 0.35:
+            out = out + Angle.symbol(name, rng.randint(-2, 2))
+    return out
+
+
+def random_braid_cocycle(
+    n: int, rng: random.Random, symbols: Sequence[str] = ("th1", "th2")
+) -> BraidOneCocycle:
+    return build_braid_cocycle(
+        n,
+        mu1=random_angle(rng, symbols),
+        mu2=random_angle(rng, symbols),
+        diag=[random_angle(rng, symbols) for _ in range(n - 1)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +981,30 @@ def test_json_spec_shape():
     doc = cocycle_to_json(c)
     assert set(doc) == {"n", "entries"}
     assert ["s1", "x1", "0"] in doc["entries"]
+
+
+def test_json_document_surface():
+    for n in range(2, 7):
+        braid = build_braid_cocycle(
+            n, parse_angle("1/3 + th1"), Angle.symbol("th2"),
+            [Angle.rational(i, 7) for i in range(1, n)],
+        )
+        pure = build_pure_cocycle(n, {(1, n): [Angle.rational(k, 5) for k in range(1, n + 1)]})
+        pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        for c, labels in ((braid, [f"s{i}" for i in range(1, n)]),
+                          (restrict_to_pure(braid), [f"a({i},{j})" for i, j in pairs]),
+                          (pure, [f"a({i},{j})" for i, j in pairs])):
+            doc = cocycle_to_json(c)
+            assert cocycle_from_json(doc) == c
+            assert [entry[:2] for entry in doc["entries"]] == [
+                [label, f"x{k}"] for label in labels for k in range(1, n + 1)]
+    assert cocycle_from_json({"n": 3, "entries": []}) == build_pure_cocycle(3, {})
+    # a mixed document that also holds a bad entry reports that entry
+    mixed = [["s1", "x1", "0"], ["a(1,2)", "x1", "0"]]
+    for extra, message in ((["s9", "x1", "0"], "braid generator s9 out of range"),
+                           (["s1", "x1", "1/2"], "repeated entry for s1, x1")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            cocycle_from_json({"n": 3, "entries": mixed + [extra]})
 
 
 def test_rank_errors():
